@@ -6,9 +6,11 @@
 //! differs only in its *update tail*: the kernels that move the population.
 //! [`SwarmAlgorithm`] captures exactly that seam. An implementation emits
 //! its per-shard update ops into the [`crate::plan::ExecutionPlan`] node
-//! list, declares which rewrite passes are legal for it (fusion legality,
-//! the admission downgrade ladder), names its persistent-kernel region and
-//! says whether shards carry extra per-particle state. The single `PlanRun`
+//! list, declares whether the fusion rewrite is legal for it, names its
+//! persistent-kernel region and says whether shards carry extra
+//! per-particle state. Its two strategy ladders — admission downgrade and
+//! fault fallback — are rows of one table, [`cheaper_strategy_for`] and
+//! [`fallback_strategy_for`] read it. The single `PlanRun`
 //! executor, the resilience hooks, checkpoint/suspend/resume, the serving
 //! layer and the cost predictor all operate on the generic op set and never
 //! branch on "is this PSO".
@@ -30,7 +32,7 @@
 //! a new implementation must satisfy.
 
 use crate::gpu::UpdateStrategy;
-use crate::plan::{cheaper_strategy, PlanNode, PlanOp};
+use crate::plan::{PlanNode, PlanOp};
 use gpu_sim::Phase;
 use std::fmt;
 use std::str::FromStr;
@@ -117,11 +119,6 @@ pub trait SwarmAlgorithm: Sync {
     /// strategies) ever fuse.
     fn fusible(&self, strategy: UpdateStrategy) -> bool;
 
-    /// The next cheaper rung below `s` in this algorithm's admission
-    /// downgrade ladder, or `None` when there is nothing cheaper to
-    /// downgrade to (see `DESIGN.md`'s per-algorithm ladder table).
-    fn cheaper_strategy(&self, s: UpdateStrategy) -> Option<UpdateStrategy>;
-
     /// Name of the persistent-kernel region [`crate::plan`]'s executor
     /// opens when a plan of this algorithm is lowered persistent.
     fn persistent_region(&self) -> &'static str;
@@ -187,10 +184,6 @@ impl SwarmAlgorithm for Pso {
         )
     }
 
-    fn cheaper_strategy(&self, s: UpdateStrategy) -> Option<UpdateStrategy> {
-        cheaper_strategy(s)
-    }
-
     fn persistent_region(&self) -> &'static str {
         "persistent_pso"
     }
@@ -229,12 +222,6 @@ impl SwarmAlgorithm for Sso {
         // There is no Velocity/Position pair to collapse: the update is
         // already a single launch.
         false
-    }
-
-    fn cheaper_strategy(&self, _s: UpdateStrategy) -> Option<UpdateStrategy> {
-        // The index-sampling kernel has one implementation; the memory
-        // strategy does not change its cost, so the ladder has no rungs.
-        None
     }
 
     fn persistent_region(&self) -> &'static str {
@@ -285,11 +272,6 @@ impl SwarmAlgorithm for Gfwa {
         false
     }
 
-    fn cheaper_strategy(&self, _s: UpdateStrategy) -> Option<UpdateStrategy> {
-        // Spark generation dominates and has one implementation: no rungs.
-        None
-    }
-
     fn persistent_region(&self) -> &'static str {
         "persistent_gfwa"
     }
@@ -310,11 +292,71 @@ pub fn algorithm_impl(a: Algorithm) -> &'static dyn SwarmAlgorithm {
     }
 }
 
+/// One row of [`LADDERS`]: `(algorithm, strategy, admission downgrade,
+/// fault fallback)`.
+type Rung = (
+    Algorithm,
+    UpdateStrategy,
+    Option<UpdateStrategy>,
+    Option<UpdateStrategy>,
+);
+
+/// Both strategy ladders, one [`Rung`] per `(algorithm, strategy)`. An
+/// algorithm or strategy with no row has no rung on either ladder — SSO's
+/// index-sampling kernel and GFWA's spark kernels each have one
+/// implementation, so the memory strategy never changes their cost or
+/// their failure modes.
+///
+/// The **admission downgrade** column is the knob `fastpso::serve` turns
+/// when a job's requested strategy cannot meet its deadline; each step
+/// strictly reduces modeled cost:
+///
+/// * `ForLoop → GlobalMem → SharedMem → LowComplexity` — fewer
+///   latency-bound threads, then staged broadcast traffic, then `d`-fold
+///   fewer RNG draws.
+/// * `TensorCore` is never *entered* by a downgrade: its f16 rounding is an
+///   opt-in numeric contract. A job that requested it steps straight to the
+///   reduced-work rung.
+/// * `LowComplexity` is the last rung: it changes the trajectory
+///   (documented reduced-work numerics), which is exactly the trade a
+///   deadline-pressed job accepts instead of being shed.
+///
+/// The **fault fallback** column is what [`crate::resilience`] walks after
+/// a permanent launch failure in the swarm update, toward the most
+/// *conservative* rung: `TensorCore → SharedMem → GlobalMem → ForLoop`, all
+/// bitwise-equal math. `LowComplexity` never degrades: switching numerics
+/// mid-run would silently change a trajectory the caller opted into, so
+/// faults that exhaust its retries fail the run instead.
+#[rustfmt::skip]
+const LADDERS: [Rung; 5] = {
+    use UpdateStrategy::*;
+    [
+        // algorithm     strategy       downgrade            fallback
+        (Algorithm::Pso, ForLoop,       Some(GlobalMem),     None),
+        (Algorithm::Pso, GlobalMem,     Some(SharedMem),     Some(ForLoop)),
+        (Algorithm::Pso, SharedMem,     Some(LowComplexity), Some(GlobalMem)),
+        (Algorithm::Pso, TensorCore,    Some(LowComplexity), Some(SharedMem)),
+        (Algorithm::Pso, LowComplexity, None,                None),
+    ]
+};
+
+fn rung(algo: Algorithm, s: UpdateStrategy) -> Option<&'static Rung> {
+    LADDERS.iter().find(|r| r.0 == algo && r.1 == s)
+}
+
 /// The next cheaper rung below `s` in `algo`'s admission downgrade ladder
-/// ([`SwarmAlgorithm::cheaper_strategy`]); the per-algorithm entry point
-/// the serve admission controller walks.
+/// (the ladder table's third column), or `None` when there is nothing
+/// cheaper; the per-algorithm entry point the serve admission controller
+/// walks.
 pub fn cheaper_strategy_for(algo: Algorithm, s: UpdateStrategy) -> Option<UpdateStrategy> {
-    algorithm_impl(algo).cheaper_strategy(s)
+    rung(algo, s).and_then(|r| r.2)
+}
+
+/// The next more conservative rung below `s` in `algo`'s fault fallback
+/// ladder (the ladder table's fourth column), or `None` if `s` is already the
+/// last resort.
+pub fn fallback_strategy_for(algo: Algorithm, s: UpdateStrategy) -> Option<UpdateStrategy> {
+    rung(algo, s).and_then(|r| r.3)
 }
 
 #[cfg(test)]
@@ -374,6 +416,25 @@ mod tests {
                 assert_eq!(cheaper_strategy_for(a, s), None, "{a}/{s}");
             }
         }
+    }
+
+    #[test]
+    fn fallback_chain_ends_at_forloop() {
+        let mut s = UpdateStrategy::TensorCore;
+        let mut seen = vec![s];
+        while let Some(next) = fallback_strategy_for(Algorithm::Pso, s) {
+            s = next;
+            seen.push(s);
+        }
+        assert_eq!(
+            seen,
+            vec![
+                UpdateStrategy::TensorCore,
+                UpdateStrategy::SharedMem,
+                UpdateStrategy::GlobalMem,
+                UpdateStrategy::ForLoop,
+            ]
+        );
     }
 
     #[test]

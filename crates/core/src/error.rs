@@ -19,7 +19,7 @@ pub enum PsoError {
     Gpu(GpuError),
     /// A permanent launch failure could not be degraded: the active update
     /// strategy has no cheaper rung in its algorithm's ladder (see
-    /// `resilience::fallback_strategy` and the per-algorithm ladder table
+    /// `algo::fallback_strategy_for` and the per-algorithm ladder table
     /// in DESIGN.md). Carries the device failure that exhausted the ladder.
     NoFallback {
         /// The strategy the job was on when the ladder ran out.

@@ -7,11 +7,11 @@ use crate::algo::Algorithm;
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
-use crate::plan::{BestReduce, ExecTarget, ExecutionPlan, PlanRun};
+use crate::plan::{BestReduce, ExecutionPlan, PlanRun};
 use crate::resilience::ResilienceConfig;
 use crate::result::RunResult;
 use fastpso_functions::Objective;
-use gpu_sim::{AllocMode, Device};
+use gpu_sim::{AllocMode, Device, DeviceGroup};
 
 pub use kernels::UpdateStrategy;
 
@@ -31,7 +31,9 @@ pub use kernels::UpdateStrategy;
 /// fusion and stream overlap are all plan-level concerns (see the
 /// [`crate::plan`] module).
 pub struct GpuBackend {
-    device: Device,
+    /// The backing device as a group of one: the plan executor runs every
+    /// plan on a device group.
+    group: DeviceGroup,
     strategy: UpdateStrategy,
     algorithm: Algorithm,
     resilience: Option<ResilienceConfig>,
@@ -56,7 +58,7 @@ impl GpuBackend {
     /// FastPSO on an explicit device.
     pub fn with_device(device: Device) -> Self {
         GpuBackend {
-            device,
+            group: DeviceGroup::from_devices(vec![device]),
             strategy: UpdateStrategy::GlobalMem,
             algorithm: Algorithm::Pso,
             resilience: None,
@@ -134,7 +136,7 @@ impl GpuBackend {
 
     /// The backing device (for timeline/metrics inspection).
     pub fn device(&self) -> &Device {
-        &self.device
+        self.group.device(0).expect("a group of one")
     }
 
     /// Profiler snapshot of the most recent run: one record per kernel
@@ -143,7 +145,7 @@ impl GpuBackend {
     /// exactly the last run). Export with [`gpu_sim::gpu_summary`] or
     /// [`gpu_sim::chrome_trace_json`].
     pub fn profile(&self) -> gpu_sim::ProfilerLog {
-        self.device.profiler()
+        self.device().profiler()
     }
 
     /// The configured update strategy.
@@ -171,7 +173,7 @@ impl GpuBackend {
     /// Whether the whole swarm can be co-resident on the device — the
     /// occupancy requirement for a persistent grid (see `DESIGN.md` §12).
     fn swarm_fits(&self, cfg: &PsoConfig) -> bool {
-        (cfg.n_particles * cfg.dim) as u64 <= self.device.profile().max_resident_threads()
+        (cfg.n_particles * cfg.dim) as u64 <= self.device().profile().max_resident_threads()
     }
 }
 
@@ -193,7 +195,7 @@ impl PsoBackend for GpuBackend {
 
     fn run(&self, cfg: &PsoConfig, obj: &dyn Objective) -> Result<RunResult, PsoError> {
         if let Some(mode) = self.alloc_mode {
-            self.device.set_alloc_mode(mode);
+            self.device().set_alloc_mode(mode);
         }
         let plan = self.plan(cfg);
         PlanRun {
@@ -202,8 +204,8 @@ impl PsoBackend for GpuBackend {
             obj,
             strategy: self.strategy,
             resilience: self.resilience.as_ref(),
-            partitions: vec![(0, cfg.n_particles)],
-            target: ExecTarget::Single(&self.device),
+            partitions: &[(0, cfg.n_particles)],
+            target: &self.group,
         }
         .execute()
     }

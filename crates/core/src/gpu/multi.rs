@@ -23,10 +23,9 @@
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
-use crate::plan::{BestReduce, ExecTarget, ExecutionPlan, PlanRun};
+use crate::plan::{BestReduce, ExecutionPlan, PlanRun};
 use crate::resilience::ResilienceConfig;
 use crate::result::RunResult;
-use crate::swarm::Swarm;
 use fastpso_functions::Objective;
 use gpu_sim::{AllocMode, DeviceGroup};
 
@@ -195,22 +194,11 @@ impl PsoBackend for MultiGpuBackend {
             obj,
             strategy: self.update,
             resilience: self.resilience.as_ref(),
-            partitions: self.partition(cfg.n_particles),
-            target: ExecTarget::Group(&self.group),
+            partitions: &self.partition(cfg.n_particles),
+            target: &self.group,
         }
         .execute()
     }
-}
-
-/// Convenience check used by tests: run the sequential reference and
-/// return its best value for comparison.
-#[doc(hidden)]
-pub fn host_reference(cfg: &PsoConfig, obj: &dyn Objective) -> f64 {
-    let _ = Swarm::init(cfg, obj.domain());
-    crate::seq::SeqBackend
-        .run(cfg, obj)
-        .map(|r| r.best_value)
-        .unwrap_or(f64::INFINITY)
 }
 
 #[cfg(test)]

@@ -542,53 +542,38 @@ impl ExecutionPlan {
     }
 }
 
-/// The next *cheaper* (fewer modeled device-seconds) strategy rung below
-/// `s`, or `None` when `s` is already the cheapest.
-///
-/// This is the admission controller's downgrade ladder — the knob
-/// `fastpso::serve` turns when a job's requested strategy cannot meet its
-/// deadline. It is deliberately distinct from the resilience layer's
-/// [`crate::resilience::fallback_strategy`] chain, which walks toward the
-/// most *conservative* rung after faults:
-///
-/// * `ForLoop → GlobalMem → SharedMem → LowComplexity` — each step strictly
-///   reduces modeled cost (fewer latency-bound threads, then staged
-///   broadcast traffic, then `d`-fold fewer RNG draws).
-/// * [`UpdateStrategy::TensorCore`] is never *entered* by a downgrade: its
-///   f16 rounding is an opt-in numeric contract. A job that requested it
-///   steps straight to the reduced-work rung.
-/// * [`UpdateStrategy::LowComplexity`] is the last rung: it changes the
-///   trajectory (documented reduced-work numerics), which is exactly the
-///   trade a deadline-pressed job accepts instead of being shed.
-pub fn cheaper_strategy(s: UpdateStrategy) -> Option<UpdateStrategy> {
-    match s {
-        UpdateStrategy::ForLoop => Some(UpdateStrategy::GlobalMem),
-        UpdateStrategy::GlobalMem => Some(UpdateStrategy::SharedMem),
-        UpdateStrategy::SharedMem | UpdateStrategy::TensorCore => {
-            Some(UpdateStrategy::LowComplexity)
-        }
-        UpdateStrategy::LowComplexity => None,
-    }
-}
-
-/// What the executor runs against: one device or a group.
-#[derive(Clone, Copy)]
-pub(crate) enum ExecTarget<'a> {
-    Single(&'a Device),
-    Group(&'a DeviceGroup),
-}
-
 /// A bound plan execution: the plan plus everything one run needs. Both GPU
 /// backends build one of these in `run` and call [`PlanRun::execute`].
+///
+/// Every run targets a [`DeviceGroup`]; a single-GPU run is a group of one.
+/// Shard `s` executes on `target.device(homes[s])`, and the plan's
+/// [`BestReduce`] alone decides how bests combine and whether a lost device
+/// can be re-homed inside the executor.
 pub(crate) struct PlanRun<'a> {
     pub plan: &'a ExecutionPlan,
     pub cfg: &'a PsoConfig,
     pub obj: &'a dyn Objective,
     pub strategy: UpdateStrategy,
     pub resilience: Option<&'a ResilienceConfig>,
-    pub partitions: Vec<(usize, usize)>,
-    pub target: ExecTarget<'a>,
+    pub partitions: &'a [(usize, usize)],
+    pub target: &'a DeviceGroup,
 }
+
+/// The policy a non-resilient run executes under: no in-place retry, no
+/// quarantine and no strategy fallback, so [`retry_op`] and
+/// [`retry_degradable`] reduce to the bare call. Checkpointing and
+/// restore-and-replay key off [`PlanRun::resilience`] itself and stay off.
+const FAIL_FAST: ResilienceConfig = ResilienceConfig {
+    retry: RetryPolicy {
+        max_retries: 0,
+        backoff_base_s: 0.0,
+        backoff_factor: 1.0,
+    },
+    checkpoint_every: 0,
+    max_restores: 0,
+    quarantine_nonfinite: false,
+    strategy_fallback: false,
+};
 
 /// Mutable optimizer state threaded through iterations.
 pub(crate) struct OptState {
@@ -656,33 +641,71 @@ impl PlanCheckpoint {
 
 impl<'a> PlanRun<'a> {
     fn device(&self, home: usize) -> Result<&'a Device, PsoError> {
-        match self.target {
-            ExecTarget::Single(dev) => Ok(dev),
-            ExecTarget::Group(g) => Ok(g.device(home)?),
-        }
+        Ok(self.target.device(home)?)
     }
 
-    fn group(&self) -> &'a DeviceGroup {
-        match self.target {
-            ExecTarget::Group(g) => g,
-            ExecTarget::Single(_) => {
-                unreachable!("Exchange reduce is only built for device groups")
-            }
-        }
+    /// The run's recovery policy: the configured one, or [`FAIL_FAST`].
+    fn policy(&self) -> &'a ResilienceConfig {
+        self.resilience.unwrap_or(&FAIL_FAST)
     }
 
-    /// Stream hook at node entry: bind the node's lane and wait on its
-    /// cross-lane events. No-op unless the plan has streams enabled.
-    fn enter(&self, dev: &Device, node: &PlanNode, events: &[Option<Event>]) {
-        if !self.plan.streams_enabled {
-            return;
-        }
-        dev.bind_stream(node.stream);
-        for &w in &node.wait {
-            if let Some(ev) = &events[w] {
-                dev.wait_event(ev);
+    /// Stream hook at node entry: resolve device `home`, bind the node's
+    /// lane and wait on its cross-lane events. The lane work is a no-op
+    /// unless the plan has streams enabled.
+    fn enter(
+        &self,
+        home: usize,
+        node: &PlanNode,
+        events: &[Option<Event>],
+    ) -> Result<&'a Device, PsoError> {
+        let dev = self.device(home)?;
+        if self.plan.streams_enabled {
+            dev.bind_stream(node.stream);
+            for &w in &node.wait {
+                if let Some(ev) = &events[w] {
+                    dev.wait_event(ev);
+                }
             }
         }
+        Ok(dev)
+    }
+
+    /// Run one op on device `home` under the run's retry policy, entering
+    /// `node`'s stream lane first when one is given (the exchange adopts
+    /// and shard initialisation bind no lane). Every node op and every
+    /// shard initialisation goes through here; with [`FAIL_FAST`]
+    /// `retry_op` makes exactly one attempt, so a non-resilient run is the
+    /// bare call.
+    fn guard<T>(
+        &self,
+        home: usize,
+        node: Option<&PlanNode>,
+        events: &[Option<Event>],
+        mut op: impl FnMut(&Device) -> Result<T, PsoError>,
+    ) -> Result<T, PsoError> {
+        let dev = match node {
+            Some(node) => self.enter(home, node, events)?,
+            None => self.device(home)?,
+        };
+        retry_op(dev, &self.policy().retry, || op(dev))
+    }
+
+    /// [`PlanRun::guard`] for a strategy-dependent swarm-update launch:
+    /// permanent launch failures additionally walk the strategy
+    /// degradation ladder, updating `strategy` for the rest of the run
+    /// (off under [`FAIL_FAST`]).
+    fn guard_update(
+        &self,
+        home: usize,
+        node: &PlanNode,
+        events: &[Option<Event>],
+        strategy: &mut UpdateStrategy,
+        mut op: impl FnMut(&Device, UpdateStrategy) -> Result<(), PsoError>,
+    ) -> Result<(), PsoError> {
+        let dev = self.enter(home, node, events)?;
+        retry_degradable(dev, self.policy(), self.plan.algorithm, strategy, |stg| {
+            op(dev, stg)
+        })
     }
 
     /// Stream hook at node exit: record an event if a later node waits on
@@ -693,10 +716,9 @@ impl<'a> PlanRun<'a> {
         }
     }
 
-    /// Walk the plan's nodes once, in order. Resilience (when configured)
-    /// wraps each node: plain ops get bounded in-place retry, the swarm
-    /// update additionally walks the strategy degradation chain. Returns
-    /// whether the swarm best improved this iteration.
+    /// Walk the plan's nodes once, in order, each through
+    /// [`PlanRun::guard`]. Returns whether the swarm best improved this
+    /// iteration.
     fn run_iteration(&self, st: &mut OptState, t: usize) -> Result<bool, PsoError> {
         let plan = self.plan;
         let cfg = self.cfg;
@@ -729,68 +751,44 @@ impl<'a> PlanRun<'a> {
 
         for (idx, node) in nodes.iter().enumerate() {
             let s = node.shard;
+            let home = homes[s];
+            let lane = Some(node);
             match node.op {
                 PlanOp::Eval => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
-                    match self.resilience {
-                        Some(res) => {
-                            retry_op(dev, &res.retry, || eval_shard(dev, shard, self.obj))?;
-                            if res.quarantine_nonfinite {
-                                *quarantined += quarantine_nonfinite(dev, shard, self.obj)?;
-                            }
-                        }
-                        None => eval_shard(dev, shard, self.obj)?,
+                    self.guard(home, lane, &events, |dev| eval_shard(dev, shard, self.obj))?;
+                    if self.policy().quarantine_nonfinite {
+                        *quarantined += quarantine_nonfinite(self.device(home)?, shard, self.obj)?;
                     }
                 }
                 PlanOp::PBest => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
-                    match self.resilience {
-                        Some(res) => {
-                            retry_op(dev, &res.retry, || pbest_update(dev, shard))?;
-                        }
-                        None => {
-                            pbest_update(dev, shard)?;
-                        }
-                    }
+                    self.guard(home, lane, &events, |dev| pbest_update(dev, shard))?;
                 }
                 PlanOp::Argmin => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &shards[s];
-                    locals[s] = Some(match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || local_argmin(dev, shard))?,
-                        None => local_argmin(dev, shard)?,
-                    });
+                    locals[s] =
+                        Some(self.guard(home, lane, &events, |dev| local_argmin(dev, shard))?);
                 }
                 PlanOp::ReduceAdopt => {
                     match plan.reduce {
                         BestReduce::Local => {
-                            let dev = self.device(homes[0])?;
-                            self.enter(dev, node, &events);
                             let shard = &mut shards[0];
                             let best = locals[0].expect("argmin node precedes reduce");
                             improved = best.value < shard.gbest_err;
                             if improved {
-                                match self.resilience {
-                                    Some(res) => retry_op(dev, &res.retry, || {
-                                        adopt_gbest_local(dev, shard, best.index, best.value)
-                                    })?,
-                                    None => adopt_gbest_local(dev, shard, best.index, best.value)?,
-                                }
+                                self.guard(homes[0], lane, &events, |dev| {
+                                    adopt_gbest_local(dev, shard, best.index, best.value)
+                                })?;
                             }
                         }
                         BestReduce::Exchange { sync_every } => {
-                            let group = self.group();
                             let sync_now = sync_every != 0 && (t + 1).is_multiple_of(sync_every);
                             if sync_now {
                                 // Every device publishes its local best
                                 // (value + position row); the winner is
                                 // broadcast and adopted where it improves.
-                                group.exchange(Phase::GBest, (d as u64 + 1) * 4);
+                                self.target.exchange(Phase::GBest, (d as u64 + 1) * 4);
                                 let (mut win_dev, mut win) =
                                     (0usize, locals[0].expect("argmin precedes reduce"));
                                 for (i, r) in locals.iter().enumerate().skip(1) {
@@ -810,39 +808,22 @@ impl<'a> PlanRun<'a> {
                                         &shard.pbest_pos.as_slice()[local * d..(local + 1) * d],
                                     );
                                 }
+                                let err = *global_best_err;
                                 for (i, shard) in shards.iter_mut().enumerate() {
-                                    if *global_best_err < shard.gbest_err {
-                                        let dev = self.device(homes[i])?;
-                                        if i == win_dev && win.value == *global_best_err {
-                                            match self.resilience {
-                                                Some(res) => retry_op(dev, &res.retry, || {
-                                                    adopt_gbest_local(
-                                                        dev, shard, win.index, win.value,
-                                                    )
-                                                })?,
-                                                None => adopt_gbest_local(
-                                                    dev, shard, win.index, win.value,
-                                                )?,
-                                            }
-                                        } else {
-                                            let err = *global_best_err;
-                                            match self.resilience {
-                                                Some(res) => retry_op(dev, &res.retry, || {
-                                                    adopt_gbest_from_host(
-                                                        dev,
-                                                        shard,
-                                                        global_best_pos,
-                                                        err,
-                                                    )
-                                                })?,
-                                                None => adopt_gbest_from_host(
+                                    if err < shard.gbest_err {
+                                        let own = i == win_dev && win.value == err;
+                                        self.guard(homes[i], None, &events, |dev| {
+                                            if own {
+                                                adopt_gbest_local(dev, shard, win.index, win.value)
+                                            } else {
+                                                adopt_gbest_from_host(
                                                     dev,
                                                     shard,
                                                     global_best_pos,
                                                     err,
-                                                )?,
+                                                )
                                             }
-                                        }
+                                        })?;
                                     }
                                 }
                             } else {
@@ -853,15 +834,9 @@ impl<'a> PlanRun<'a> {
                                 {
                                     let r = r.expect("argmin precedes reduce");
                                     if r.value < shard.gbest_err {
-                                        let dev = self.device(homes[i])?;
-                                        match self.resilience {
-                                            Some(res) => retry_op(dev, &res.retry, || {
-                                                adopt_gbest_local(dev, shard, r.index, r.value)
-                                            })?,
-                                            None => {
-                                                adopt_gbest_local(dev, shard, r.index, r.value)?
-                                            }
-                                        }
+                                        self.guard(homes[i], None, &events, |dev| {
+                                            adopt_gbest_local(dev, shard, r.index, r.value)
+                                        })?;
                                     }
                                 }
                                 for (shard, r) in shards.iter().zip(locals.iter()) {
@@ -881,13 +856,8 @@ impl<'a> PlanRun<'a> {
                     sched.note_iteration(improved);
                 }
                 PlanOp::RingLbest { k } => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &shards[s];
-                    lbest = Some(match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || ring_lbest(dev, shard, k))?,
-                        None => ring_lbest(dev, shard, k)?,
-                    });
+                    lbest = Some(self.guard(home, lane, &events, |dev| ring_lbest(dev, shard, k))?);
                 }
                 PlanOp::Migrate { .. } => {
                     let Topology::Islands { islands, migration } = cfg.topology else {
@@ -897,99 +867,63 @@ impl<'a> PlanRun<'a> {
                     // charging a launch, so the plan shape stays static
                     // while the schedule stays configurable.
                     if (t + 1).is_multiple_of(migration.every_k) {
-                        let dev = self.device(homes[s])?;
-                        self.enter(dev, node, &events);
                         let shard = &mut shards[s];
                         let seed = cfg.seed;
                         // A pure function of the pre-migration state and
                         // (t, seed), so checkpoint replay recomputes the
                         // same elite moves bit-for-bit.
-                        *migrations += match self.resilience {
-                            Some(res) => retry_op(dev, &res.retry, || {
-                                migrate_elites(dev, shard, islands, migration, t, seed)
-                            })?,
-                            None => migrate_elites(dev, shard, islands, migration, t, seed)?,
-                        };
+                        *migrations += self.guard(home, lane, &events, |dev| {
+                            migrate_elites(dev, shard, islands, migration, t, seed)
+                        })?;
                     }
                 }
                 PlanOp::EliteSelect { islands } => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &shards[s];
-                    lbest = Some(match self.resilience {
-                        Some(res) => {
-                            retry_op(dev, &res.retry, || island_attractors(dev, shard, islands))?
-                        }
-                        None => island_attractors(dev, shard, islands)?,
-                    });
+                    lbest = Some(self.guard(home, lane, &events, |dev| {
+                        island_attractors(dev, shard, islands)
+                    })?);
                 }
                 PlanOp::GenWeights => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
                     // The weight *shape* follows the current strategy: the
                     // low-complexity rung draws one scalar per row. The
-                    // degradation chain never crosses into or out of that
-                    // rung (see `resilience::fallback_strategy`), so the
+                    // degradation ladder never crosses into or out of that
+                    // rung (see `algo::fallback_strategy_for`), so the
                     // shape can never disagree with the consuming update.
                     let stg = *strategy;
-                    match self.resilience {
-                        Some(res) => {
-                            retry_op(dev, &res.retry, || gen_weights(dev, shard, cfg, t, stg))?
-                        }
-                        None => gen_weights(dev, shard, cfg, t, stg)?,
-                    }
-                    self.record(dev, idx, &needs_event, &mut events);
+                    self.guard(home, lane, &events, |dev| {
+                        gen_weights(dev, shard, cfg, t, stg)
+                    })?;
+                    self.record(self.device(home)?, idx, &needs_event, &mut events);
                 }
                 PlanOp::Velocity => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
                     let lb = lbest.as_deref();
-                    match self.resilience {
-                        // Each half of the swarm update is a single
-                        // fault-gated launch, so it retries (and strategy-
-                        // degrades) independently — retrying the pair as one
-                        // op would double-apply the in-place velocity update.
-                        Some(res) => retry_degradable(dev, res, strategy, |stg| {
-                            velocity_update(dev, shard, cfg, t, sched.current(), stg, lb)
-                        })?,
-                        None => {
-                            velocity_update(dev, shard, cfg, t, sched.current(), *strategy, lb)?
-                        }
-                    }
+                    // Each half of the swarm update is a single fault-gated
+                    // launch, so it retries (and strategy-degrades)
+                    // independently — retrying the pair as one op would
+                    // double-apply the in-place velocity update.
+                    self.guard_update(home, node, &events, strategy, |dev, stg| {
+                        velocity_update(dev, shard, cfg, t, sched.current(), stg, lb)
+                    })?;
                 }
                 PlanOp::Position => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
-                    match self.resilience {
-                        Some(res) => retry_degradable(dev, res, strategy, |stg| {
-                            position_update(dev, shard, stg)
-                        })?,
-                        None => position_update(dev, shard, *strategy)?,
-                    }
+                    self.guard_update(home, node, &events, strategy, |dev, stg| {
+                        position_update(dev, shard, stg)
+                    })?;
                 }
                 PlanOp::FusedSwarmUpdate => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
                     let lb = lbest.as_deref();
-                    match self.resilience {
-                        // Unlike the split pair, the fused launch's single
-                        // fault gate fires before any element is written, so
-                        // the whole step retries safely as one op.
-                        Some(res) => retry_degradable(dev, res, strategy, |stg| {
-                            fused_swarm_update(dev, shard, cfg, t, sched.current(), stg, lb)
-                        })?,
-                        None => {
-                            fused_swarm_update(dev, shard, cfg, t, sched.current(), *strategy, lb)?
-                        }
-                    }
+                    // Unlike the split pair, the fused launch's single fault
+                    // gate fires before any element is written, so the
+                    // whole step retries safely as one op.
+                    self.guard_update(home, node, &events, strategy, |dev, stg| {
+                        fused_swarm_update(dev, shard, cfg, t, sched.current(), stg, lb)
+                    })?;
                 }
                 PlanOp::SsoUpdate => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
                     let domain = cfg.resolve_domain(self.obj.domain());
                     let lb = lbest.as_deref();
@@ -997,56 +931,38 @@ impl<'a> PlanRun<'a> {
                     // element from the counter-based stream: idempotent, so
                     // plain bounded retry suffices (no strategy ladder —
                     // the kernel has one implementation).
-                    match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || {
-                            sso_update(dev, shard, cfg, t, domain, lb)
-                        })?,
-                        None => sso_update(dev, shard, cfg, t, domain, lb)?,
-                    }
+                    self.guard(home, lane, &events, |dev| {
+                        sso_update(dev, shard, cfg, t, domain, lb)
+                    })?;
                 }
                 PlanOp::Explosion => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &shards[s];
                     let domain = cfg.resolve_domain(self.obj.domain());
-                    sparks[s] = Some(match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || {
-                            explosion(dev, shard, cfg, t, domain, self.obj)
-                        })?,
-                        None => explosion(dev, shard, cfg, t, domain, self.obj)?,
-                    });
+                    sparks[s] = Some(self.guard(home, lane, &events, |dev| {
+                        explosion(dev, shard, cfg, t, domain, self.obj)
+                    })?);
                 }
                 PlanOp::GuidingSpark => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &shards[s];
                     let ex = sparks[s]
                         .as_ref()
                         .expect("explosion precedes guiding spark");
                     let domain = cfg.resolve_domain(self.obj.domain());
-                    guides[s] = Some(match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || {
-                            guiding_spark(dev, shard, domain, self.obj, ex)
-                        })?,
-                        None => guiding_spark(dev, shard, domain, self.obj, ex)?,
-                    });
+                    guides[s] = Some(self.guard(home, lane, &events, |dev| {
+                        guiding_spark(dev, shard, domain, self.obj, ex)
+                    })?);
                 }
                 PlanOp::Selection => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
                     let ex = sparks[s].take().expect("explosion precedes selection");
                     let gu = guides[s].take().expect("guiding spark precedes selection");
                     let domain = cfg.resolve_domain(self.obj.domain());
-                    match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || {
-                            gfwa_selection(dev, shard, &ex, &gu, domain)
-                        })?,
-                        None => gfwa_selection(dev, shard, &ex, &gu, domain)?,
-                    }
+                    self.guard(home, lane, &events, |dev| {
+                        gfwa_selection(dev, shard, &ex, &gu, domain)
+                    })?;
                 }
                 PlanOp::DeviceSync => {
-                    let dev = self.device(homes[s])?;
+                    let dev = self.device(home)?;
                     dev.synchronize(Phase::SwarmUpdate);
                     if plan.streams_enabled {
                         dev.join_streams();
@@ -1086,27 +1002,18 @@ impl<'a> PlanRun<'a> {
             migrations: 0,
         };
         for (i, &(row0, rows)) in self.partitions.iter().enumerate() {
-            let dev = self.device(st.homes[i])?;
-            let mut shard = match self.resilience {
-                Some(res) => retry_op(dev, &res.retry, || Shard::alloc(dev, row0, rows, d))?,
-                None => Shard::alloc(dev, row0, rows, d)?,
-            };
-            match self.resilience {
-                Some(res) => {
-                    retry_op(dev, &res.retry, || init_shard(dev, &mut shard, cfg, domain))?
-                }
-                None => init_shard(dev, &mut shard, cfg, domain)?,
-            }
+            let home = st.homes[i];
+            let mut shard = self.guard(home, None, &[], |dev| Shard::alloc(dev, row0, rows, d))?;
+            self.guard(home, None, &[], |dev| {
+                init_shard(dev, &mut shard, cfg, domain)
+            })?;
             if algorithm_impl(self.plan.algorithm).extra_state() {
                 // GFWA's per-firework explosion amplitudes: allocated (and
                 // later checkpointed) only when the algorithm asks for
                 // them, so PSO/SSO allocation traffic is unchanged.
-                match self.resilience {
-                    Some(res) => retry_op(dev, &res.retry, || {
-                        init_gfwa_amplitudes(dev, &mut shard, domain)
-                    })?,
-                    None => init_gfwa_amplitudes(dev, &mut shard, domain)?,
-                }
+                self.guard(home, None, &[], |dev| {
+                    init_gfwa_amplitudes(dev, &mut shard, domain)
+                })?;
             }
             st.shards.push(shard);
         }
@@ -1182,21 +1089,23 @@ impl<'a> PlanRun<'a> {
                     return Err(e);
                 };
                 let lost = e.lost_device();
-                let recoverable = match self.target {
-                    ExecTarget::Single(_) => e.is_transient(),
-                    ExecTarget::Group(_) => lost.is_some() || e.is_transient(),
+                let recoverable = match self.plan.reduce {
+                    // A local plan never re-homes: a lost device surfaces to
+                    // the caller, which re-homes the whole job (the serve
+                    // scheduler does, from its last snapshot).
+                    BestReduce::Local => e.is_transient(),
+                    BestReduce::Exchange { .. } => lost.is_some() || e.is_transient(),
                 } && ex.restores < res.max_restores;
                 if !recoverable {
                     return Err(e);
                 }
                 ex.restores += 1;
-                if let ExecTarget::Group(g) = self.target {
-                    if lost.is_some() {
-                        if g.survivors().is_empty() {
-                            return Err(e);
-                        }
-                        rehome_lost_shards(g, &mut ex.st.homes, &mut ex.st.shards, &res.retry)?;
+                if lost.is_some() {
+                    let g = self.target;
+                    if g.survivors().is_empty() {
+                        return Err(e);
                     }
+                    rehome_lost_shards(g, &mut ex.st.homes, &mut ex.st.shards, &res.retry)?;
                 }
                 // In-place retries exhausted: roll the optimizer back to
                 // the last checkpoint and replay. Replayed iterations
@@ -1267,32 +1176,35 @@ impl<'a> PlanRun<'a> {
     /// state, downloading the winning position — the run's only mandatory
     /// device→host transfer.
     pub(crate) fn finish_state(&self, ex: ExecState) -> RunResult {
-        let cfg = self.cfg;
-        match self.target {
-            ExecTarget::Single(dev) => {
+        let (best_value, best_position, timeline) = match self.plan.reduce {
+            BestReduce::Local => {
                 // Bring the result back to the host (the only mandatory
                 // transfer).
                 let shard = &ex.st.shards[0];
-                let best_position = shard.gbest_pos.download_in(Phase::Other);
-                RunResult {
-                    best_value: shard.gbest_err as f64,
-                    best_position,
-                    iterations: ex.iterations_run,
-                    evaluations: (cfg.n_particles * ex.iterations_run) as u64,
-                    timeline: dev.timeline(),
-                    history: ex.history,
-                    migrations: ex.st.migrations,
-                }
+                let dev = self
+                    .target
+                    .device(0)
+                    .expect("a local plan runs on device 0");
+                (
+                    shard.gbest_err as f64,
+                    shard.gbest_pos.download_in(Phase::Other),
+                    dev.timeline(),
+                )
             }
-            ExecTarget::Group(g) => RunResult {
-                best_value: ex.st.global_best_err as f64,
-                best_position: ex.st.global_best_pos,
-                iterations: ex.iterations_run,
-                evaluations: (cfg.n_particles * ex.iterations_run) as u64,
-                timeline: scaled_group_timeline(g),
-                history: ex.history,
-                migrations: ex.st.migrations,
-            },
+            BestReduce::Exchange { .. } => (
+                ex.st.global_best_err as f64,
+                ex.st.global_best_pos,
+                scaled_group_timeline(self.target),
+            ),
+        };
+        RunResult {
+            best_value,
+            best_position,
+            iterations: ex.iterations_run,
+            evaluations: (self.cfg.n_particles * ex.iterations_run) as u64,
+            timeline,
+            history: ex.history,
+            migrations: ex.st.migrations,
         }
     }
 
@@ -1345,10 +1257,7 @@ impl<'a> PlanRun<'a> {
     /// unaffected either way — the reduction is over shards, not devices.
     pub(crate) fn resume(&self, s: SuspendedJob) -> Result<ExecState, PsoError> {
         let policy = self.resilience.map(|r| r.retry).unwrap_or_default();
-        let n_dev = match self.target {
-            ExecTarget::Single(_) => 1,
-            ExecTarget::Group(g) => g.len().max(1),
-        };
+        let n_dev = self.target.len().max(1);
         let homes: Vec<usize> = (0..s.shards.len()).map(|i| i % n_dev).collect();
         let mut shards = Vec::with_capacity(s.shards.len());
         for (i, snap) in s.shards.iter().enumerate() {
@@ -1401,10 +1310,7 @@ impl<'a> PlanRun<'a> {
     /// tight loop; the serving layer (`fastpso::serve`) drives the same
     /// three-phase API one iteration at a time to interleave many jobs.
     pub fn execute(self) -> Result<RunResult, PsoError> {
-        match self.target {
-            ExecTarget::Single(dev) => dev.reset_timeline(),
-            ExecTarget::Group(g) => g.reset_timelines(),
-        }
+        self.target.reset_timelines();
         let mut ex = self.init_state()?;
         if self.plan.persistent {
             // One region spans the whole run: a solo persistent job costs

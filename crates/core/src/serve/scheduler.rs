@@ -9,7 +9,7 @@ use crate::algo::cheaper_strategy_for;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::UpdateStrategy;
-use crate::plan::{BestReduce, ExecState, ExecTarget, ExecutionPlan, PlanRun, SuspendedJob};
+use crate::plan::{BestReduce, ExecState, ExecutionPlan, PlanRun, SuspendedJob};
 use crate::result::RunResult;
 use crate::topology::Topology;
 use gpu_sim::lease::{Lease, LeasePool};
@@ -127,7 +127,6 @@ struct Running {
     req: OptimizeRequest,
     plan: ExecutionPlan,
     partitions: Vec<(usize, usize)>,
-    sharded: bool,
     view: DeviceGroup,
     /// The device lease. Micro-batch members share one lease (`Rc`): it
     /// returns to the pool when the *last* member releases it.
@@ -461,7 +460,7 @@ impl Service {
     /// The admission decision [`Service::submit`] would make for `req`
     /// right now, without mutating anything: the update strategy the job
     /// would run with (possibly downgraded along
-    /// [`crate::plan::cheaper_strategy`]) and its predicted device-seconds
+    /// [`crate::algo::cheaper_strategy_for`]) and its predicted device-seconds
     /// at that strategy, or [`ServeError::Infeasible`] if no rung fits.
     ///
     /// With [`ServeConfig::predictive_admission`] off, or for a request
@@ -957,23 +956,13 @@ impl Service {
                 (k, partition(pend.req.cfg.n_particles, k), None)
             }
         };
-        let use_group = n_shards > 1;
         let view = self.pool.group_view(&lease);
         let plan = build_plan(&pend.req, n_shards);
         let work = std::mem::replace(&mut pend.work, Work::Fresh);
         let before = self.charged();
         let rec_before = merged_recovery(&self.group);
         let state_res = {
-            let target = target_of(&view, use_group);
-            let run = PlanRun {
-                plan: &plan,
-                cfg: &pend.req.cfg,
-                obj: pend.req.objective.as_ref(),
-                strategy: pend.req.strategy,
-                resilience: pend.req.resilience.as_ref(),
-                partitions: partitions.clone(),
-                target,
-            };
+            let run = plan_run(&pend.req, &plan, &partitions, &view);
             match work {
                 Work::Fresh => run.init_state(),
                 Work::Suspended(s) => run.resume(s),
@@ -1021,7 +1010,6 @@ impl Service {
             req: pend.req,
             plan,
             partitions,
-            sharded: use_group,
             view,
             lease,
             batch,
@@ -1199,7 +1187,6 @@ impl Service {
             req,
             plan,
             partitions,
-            sharded,
             view,
             lease,
             state,
@@ -1224,19 +1211,7 @@ impl Service {
         if deadline_abs.is_none_or(|d| now <= d) {
             self.goodput_s += device_seconds;
         }
-        let result = {
-            let target = target_of(&view, sharded);
-            let run = PlanRun {
-                plan: &plan,
-                cfg: &req.cfg,
-                obj: req.objective.as_ref(),
-                strategy: req.strategy,
-                resilience: req.resilience.as_ref(),
-                partitions,
-                target,
-            };
-            run.finish_state(state)
-        };
+        let result = plan_run(&req, &plan, &partitions, &view).finish_state(state);
         self.release_shared(lease);
         self.journal.append(ServeEvent::Complete { job: id.0 });
         self.records.push(JobRecord {
@@ -1381,11 +1356,23 @@ fn partition(n: usize, k: usize) -> Vec<(usize, usize)> {
     out
 }
 
-fn target_of(view: &DeviceGroup, sharded: bool) -> ExecTarget<'_> {
-    if sharded {
-        ExecTarget::Group(view)
-    } else {
-        ExecTarget::Single(view.device(0).expect("leased device"))
+/// The executor for `req`'s `plan` over `partitions` on the lease's
+/// device view. A one-shard plan reduces locally on the view's first
+/// device; a sharded plan exchanges bests across the whole view.
+fn plan_run<'a>(
+    req: &'a OptimizeRequest,
+    plan: &'a ExecutionPlan,
+    partitions: &'a [(usize, usize)],
+    view: &'a DeviceGroup,
+) -> PlanRun<'a> {
+    PlanRun {
+        plan,
+        cfg: &req.cfg,
+        obj: req.objective.as_ref(),
+        strategy: req.strategy,
+        resilience: req.resilience.as_ref(),
+        partitions,
+        target: view,
     }
 }
 
@@ -1399,16 +1386,7 @@ fn merged_recovery(group: &DeviceGroup) -> f64 {
 
 /// Advance one job by up to `slice` iterations. `Ok(true)` = finished.
 fn step_job(job: &mut Running, slice: usize) -> Result<bool, PsoError> {
-    let target = target_of(&job.view, job.sharded);
-    let run = PlanRun {
-        plan: &job.plan,
-        cfg: &job.req.cfg,
-        obj: job.req.objective.as_ref(),
-        strategy: job.req.strategy,
-        resilience: job.req.resilience.as_ref(),
-        partitions: job.partitions.clone(),
-        target,
-    };
+    let run = plan_run(&job.req, &job.plan, &job.partitions, &job.view);
     for _ in 0..slice {
         if run.step_state(&mut job.state)? {
             return Ok(true);
@@ -1421,17 +1399,7 @@ fn step_job(job: &mut Running, slice: usize) -> Result<bool, PsoError> {
 /// without disturbing its device state. Transfers are charged to
 /// [`Phase::Recovery`].
 fn snapshot_job(job: &Running) -> SuspendedJob {
-    let target = target_of(&job.view, job.sharded);
-    let run = PlanRun {
-        plan: &job.plan,
-        cfg: &job.req.cfg,
-        obj: job.req.objective.as_ref(),
-        strategy: job.req.strategy,
-        resilience: job.req.resilience.as_ref(),
-        partitions: job.partitions.clone(),
-        target,
-    };
-    run.snapshot_state(&job.state)
+    plan_run(&job.req, &job.plan, &job.partitions, &job.view).snapshot_state(&job.state)
 }
 
 /// Evacuate a running job to host memory and requeue it. Returns the
@@ -1443,7 +1411,6 @@ fn suspend_to_entry(job: Running) -> (QueueEntry<Pending>, Rc<Lease>) {
         req,
         plan,
         partitions,
-        sharded,
         view,
         lease,
         state,
@@ -1458,19 +1425,7 @@ fn suspend_to_entry(job: Running) -> (QueueEntry<Pending>, Rc<Lease>) {
         ..
     } = job;
     let iterations = state.iterations_run();
-    let suspended = {
-        let target = target_of(&view, sharded);
-        let run = PlanRun {
-            plan: &plan,
-            cfg: &req.cfg,
-            obj: req.objective.as_ref(),
-            strategy: req.strategy,
-            resilience: req.resilience.as_ref(),
-            partitions,
-            target,
-        };
-        run.suspend(state)
-    };
+    let suspended = plan_run(&req, &plan, &partitions, &view).suspend(state);
     let priority = req.priority;
     let entry = QueueEntry {
         id,

@@ -9,8 +9,7 @@
 
 use fastpso_suite::fastpso::resilience::{ResilienceConfig, RetryPolicy, ShardCheckpoint};
 use fastpso_suite::fastpso::{
-    FallbackBackend, GpuBackend, MultiGpuBackend, MultiGpuStrategy, PsoBackend, PsoConfig,
-    SeqBackend, UpdateStrategy,
+    GpuBackend, MultiGpuBackend, MultiGpuStrategy, PsoBackend, PsoConfig, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{Rastrigin, Sphere};
 use fastpso_suite::functions::schema::CustomObjective;
@@ -216,22 +215,54 @@ fn nan_quarantine_keeps_best_finite() {
     assert_eq!(resilient.best_position, plain.best_position);
 }
 
-/// The backend degradation chain: a dead GPU falls through to the CPU
-/// backends instead of failing the optimization.
+/// Without a resilience config the executor runs every node under a
+/// zero-retry policy: the first transient launch fault fails the run, the
+/// faulting device makes no further launch, and nothing is charged to
+/// recovery. Checked on a single GPU and on one device of a two-GPU group.
 #[test]
-fn backend_chain_falls_through_to_cpu() {
-    let c = cfg(24, 4, 30);
-    let dead = Device::v100();
-    dead.set_fault_plan(FaultPlan::new().with_device_loss_at_launch(1));
-    let chain = FallbackBackend::new(vec![
-        Box::new(GpuBackend::with_device(dead)),
-        Box::new(SeqBackend),
-    ]);
-    let (result, served_by) = chain.run_with_report(&c, &Sphere).unwrap();
-    assert_eq!(served_by, "fastpso-seq");
-    let reference = SeqBackend.run(&c, &Sphere).unwrap();
-    assert_eq!(result.best_value, reference.best_value);
-    assert_eq!(result.best_position, reference.best_position);
+fn non_resilient_runs_never_retry() {
+    let c = cfg(32, 6, 20);
+    for k in [2, 9, 30] {
+        let single = GpuBackend::new();
+        single
+            .device()
+            .set_fault_plan(FaultPlan::new().with_transient_launch(k));
+        let err = single.run(&c, &Sphere).unwrap_err();
+        assert!(err.is_transient(), "k={k}: {err}");
+        let stats = single.device().fault_stats();
+        assert_eq!((stats.launches, stats.injected), (k, 1), "k={k}");
+        assert_eq!(single.device().timeline().seconds(Phase::Recovery), 0.0);
+
+        let multi = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix);
+        multi.group().set_fault_plans(vec![
+            FaultPlan::new(),
+            FaultPlan::new().with_transient_launch(k),
+        ]);
+        let err = multi.run(&c, &Sphere).unwrap_err();
+        assert!(err.is_transient(), "k={k}: {err}");
+        let stats = multi.group().device(1).unwrap().fault_stats();
+        assert_eq!((stats.launches, stats.injected), (k, 1), "k={k}");
+        assert_eq!(
+            multi.group().merged_timeline().seconds(Phase::Recovery),
+            0.0
+        );
+    }
+}
+
+/// A resilient single-GPU run is a group of one with a local reduction: a
+/// lost device has no survivor to re-home onto, so the run surfaces the
+/// loss as an error instead of panicking or retrying forever.
+#[test]
+fn resilient_single_gpu_surfaces_device_loss() {
+    let c = cfg(32, 6, 20);
+    for k in [1, 12] {
+        let backend = GpuBackend::new().resilient(ResilienceConfig::default());
+        backend
+            .device()
+            .set_fault_plan(FaultPlan::new().with_device_loss_at_launch(k));
+        let err = backend.run(&c, &Sphere).unwrap_err();
+        assert_eq!(err.lost_device(), Some(0), "k={k}: {err}");
+    }
 }
 
 /// Multi-GPU ParticleSplit with injected faults still reports the modeled
