@@ -23,6 +23,9 @@ use fastpso_functions::Objective;
 use fastpso_prng::Philox;
 use gpu_sim::{Device, KernelCost, KernelDesc, MemoryPattern, Phase};
 
+/// Columns of a particle's row whose `L` and `G` weights are drawn together.
+const WEIGHT_BATCH: usize = 64;
+
 /// The particle-per-thread CUDA PSO model.
 pub struct GpuPsoBaseline {
     device: Device,
@@ -96,11 +99,9 @@ impl PsoBackend for GpuPsoBaseline {
                 vel,
                 d,
                 |i, prow, vrow| {
-                    for c in 0..d {
-                        let idx = (i * d + c) as u64;
-                        prow[c] = rng.uniform_range_at(idx, 0, lo, hi);
-                        vrow[c] = rng.uniform_range_at(idx, 1, -vscale, vscale);
-                    }
+                    let first = (i * d) as u64;
+                    rng.fill_uniform(prow, 0, first, lo, hi);
+                    rng.fill_uniform(vrow, 1, first, -vscale, vscale);
                 },
             )?;
         }
@@ -164,17 +165,21 @@ impl PsoBackend for GpuPsoBaseline {
                         // Velocity + position update against the *previous*
                         // iteration's gbest (the original publishes gbest
                         // after the fused kernel).
-                        for c in 0..d {
-                            let idx = (i * d + c) as u64;
-                            let l = rng.uniform_at(idx, ld);
-                            let g = rng.uniform_at(idx, gd);
-                            let gb = if gb_err.is_finite() { gbp[c] } else { row[c] };
-                            let v2 = velocity_update_elem(
-                                vrow[c], row[c], l, g, pb_row[c], gb, omega_t, cfg.c1, cfg.c2,
-                                bound,
-                            );
-                            vrow[c] = v2;
-                            row[c] = position_update_elem(row[c], v2);
+                        let (mut l, mut g) = ([0.0f32; WEIGHT_BATCH], [0.0f32; WEIGHT_BATCH]);
+                        for c0 in (0..d).step_by(WEIGHT_BATCH) {
+                            let w = WEIGHT_BATCH.min(d - c0);
+                            let idx = (i * d + c0) as u64;
+                            rng.fill_uniform(&mut l[..w], ld, idx, 0.0, 1.0);
+                            rng.fill_uniform(&mut g[..w], gd, idx, 0.0, 1.0);
+                            for (k, c) in (c0..c0 + w).enumerate() {
+                                let gb = if gb_err.is_finite() { gbp[c] } else { row[c] };
+                                let v2 = velocity_update_elem(
+                                    vrow[c], row[c], l[k], g[k], pb_row[c], gb, omega_t, cfg.c1,
+                                    cfg.c2, bound,
+                                );
+                                vrow[c] = v2;
+                                row[c] = position_update_elem(row[c], v2);
+                            }
                         }
                     },
                 )?;

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the substrate primitives (host
-//! wall-clock): Philox generation, the element-wise swarm-update kernel,
-//! the shared-memory tiled path, the tensor-core path and the reduction.
+//! wall-clock): Philox generation (single draws and block-granular fills),
+//! the element-wise swarm-update kernel, the shared-memory tiled path, the
+//! tensor-core path and the reduction.
 //! These guard the *simulator's own* performance so that paper-scale
 //! harness runs stay tractable.
 
@@ -23,6 +24,14 @@ fn bench_philox(c: &mut Criterion) {
                     acc += rng.uniform_at(black_box(i), 3);
                 }
                 black_box(acc)
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("fill_uniform", n), &n, |b, &n| {
+            let rng = Philox::new(7);
+            let mut out = vec![0.0f32; n as usize];
+            b.iter(|| {
+                rng.fill_uniform(&mut out, 3, black_box(0), 0.0, 1.0);
+                black_box(out[0])
             })
         });
     }

@@ -31,6 +31,9 @@ const UPDATE_FLOPS_PER_ELEM: u64 = 25;
 /// flop-equivalents per draw matches Figure 5's small `init` bar.
 const CPU_RNG_FLOPS_PER_DRAW: u64 = 2;
 
+/// Columns of a row whose `L` and `G` weights are drawn together.
+const WEIGHT_BATCH: usize = 64;
+
 /// Update one particle's velocity and position rows in place.
 #[allow(clippy::too_many_arguments)]
 fn update_row(
@@ -49,19 +52,23 @@ fn update_row(
     let d = vrow.len();
     let omega_t = cfg.omega_at(t);
     let (ld, gd) = (domains::l_matrix(t), domains::g_matrix(t));
-    for col in 0..d {
-        let idx = (row * d + col) as u64;
-        let l = rng.uniform_at(idx, ld);
-        let g = rng.uniform_at(idx, gd);
-        let (pb_attr, gb_attr) = match cfg.semantics {
-            AttractorSemantics::PositionVectors => (pb_row[col], social_row[col]),
-            AttractorSemantics::ScalarBroadcast => (pbest_err_i, gbest_err),
-        };
-        let v2 = velocity_update_elem(
-            vrow[col], prow[col], l, g, pb_attr, gb_attr, omega_t, cfg.c1, cfg.c2, bound,
-        );
-        vrow[col] = v2;
-        prow[col] = position_update_elem(prow[col], v2);
+    let (mut l, mut g) = ([0.0f32; WEIGHT_BATCH], [0.0f32; WEIGHT_BATCH]);
+    for c0 in (0..d).step_by(WEIGHT_BATCH) {
+        let w = WEIGHT_BATCH.min(d - c0);
+        let idx = (row * d + c0) as u64;
+        rng.fill_uniform(&mut l[..w], ld, idx, 0.0, 1.0);
+        rng.fill_uniform(&mut g[..w], gd, idx, 0.0, 1.0);
+        for (k, col) in (c0..c0 + w).enumerate() {
+            let (pb_attr, gb_attr) = match cfg.semantics {
+                AttractorSemantics::PositionVectors => (pb_row[col], social_row[col]),
+                AttractorSemantics::ScalarBroadcast => (pbest_err_i, gbest_err),
+            };
+            let v2 = velocity_update_elem(
+                vrow[col], prow[col], l[k], g[k], pb_attr, gb_attr, omega_t, cfg.c1, cfg.c2, bound,
+            );
+            vrow[col] = v2;
+            prow[col] = position_update_elem(prow[col], v2);
+        }
     }
 }
 

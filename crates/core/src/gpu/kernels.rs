@@ -13,7 +13,7 @@ use crate::math::{position_update_elem, velocity_update_elem};
 use crate::swarm::domains;
 use crate::topology::{self, ring_neighborhood_best, Migration};
 use fastpso_functions::Objective;
-use fastpso_prng::Philox;
+use fastpso_prng::{uniform_f32_from_u32, Philox};
 use gpu_sim::reduce::MinResult;
 use gpu_sim::tiled::TILE_SIZE;
 use gpu_sim::{Device, DeviceBuffer, KernelCost, KernelDesc, LaunchConfig, MemoryPattern, Phase};
@@ -223,16 +223,15 @@ pub fn init_shard(
     let elems = shard.elems() as u64;
     let rng_cost = KernelCost::elementwise(RNG_FLOPS_PER_DRAW, 0, 4);
 
-    let row0 = shard.row0;
-    let d = shard.d;
+    let first = shard.global_elem(0);
     let desc = desc_for(dev, "init_positions", Phase::Init, rng_cost, elems);
-    dev.launch_map(&desc, shard.pos.as_mut_slice(), |i| {
-        rng.uniform_range_at((row0 * d + i) as u64, domains::INIT_POS, lo, hi)
+    dev.launch_fill(&desc, shard.pos.as_mut_slice(), |out| {
+        rng.fill_uniform(out, domains::INIT_POS, first, lo, hi)
     })?;
 
     let desc = desc_for(dev, "init_velocities", Phase::Init, rng_cost, elems);
-    dev.launch_map(&desc, shard.vel.as_mut_slice(), |i| {
-        rng.uniform_range_at((row0 * d + i) as u64, domains::INIT_VEL, -vscale, vscale)
+    dev.launch_fill(&desc, shard.vel.as_mut_slice(), |out| {
+        rng.fill_uniform(out, domains::INIT_VEL, first, -vscale, vscale)
     })?;
 
     let desc = desc_for(
@@ -265,22 +264,22 @@ pub fn gen_weights(
 ) -> Result<(), PsoError> {
     let rng = Philox::new(cfg.seed);
     let cost = KernelCost::elementwise(RNG_FLOPS_PER_DRAW, 0, 4);
-    let (row0, d) = (shard.row0, shard.d);
     let (ld, gd) = (domains::l_matrix(t), domains::g_matrix(t));
 
     if strategy == UpdateStrategy::LowComplexity {
         // One weight per particle: d-fold fewer RNG draws per iteration —
         // the dominant saving of the low-complexity rung.
         let elems = shard.rows as u64;
+        let first = shard.row0 as u64;
         let mut l = dev.alloc::<f32>(shard.rows)?;
         let mut g = dev.alloc::<f32>(shard.rows)?;
         let desc = desc_for(dev, "gen_l_weights_lowcomp", Phase::Init, cost, elems);
-        dev.launch_map(&desc, l.as_mut_slice(), |r| {
-            rng.uniform_at((row0 + r) as u64, ld)
+        dev.launch_fill(&desc, l.as_mut_slice(), |out| {
+            rng.fill_uniform(out, ld, first, 0.0, 1.0)
         })?;
         let desc = desc_for(dev, "gen_g_weights_lowcomp", Phase::Init, cost, elems);
-        dev.launch_map(&desc, g.as_mut_slice(), |r| {
-            rng.uniform_at((row0 + r) as u64, gd)
+        dev.launch_fill(&desc, g.as_mut_slice(), |out| {
+            rng.fill_uniform(out, gd, first, 0.0, 1.0)
         })?;
         shard.l = l;
         shard.g = g;
@@ -288,21 +287,22 @@ pub fn gen_weights(
     }
 
     let elems = shard.elems() as u64;
+    let first = shard.global_elem(0);
     // The weight matrices are requested fresh every iteration — the exact
     // scenario of the paper's Table 4. Under the caching allocator these
     // requests are pool hits; in `Realloc` mode each pays a driver
     // round-trip. (The previous iteration's buffers return to the pool
     // when the assignments below drop them.)
-    let mut l = dev.alloc::<f32>(shard.rows * d)?;
-    let mut g = dev.alloc::<f32>(shard.rows * d)?;
+    let mut l = dev.alloc::<f32>(shard.elems())?;
+    let mut g = dev.alloc::<f32>(shard.elems())?;
 
     let desc = desc_for(dev, "gen_l_weights", Phase::Init, cost, elems);
-    dev.launch_map(&desc, l.as_mut_slice(), |i| {
-        rng.uniform_at((row0 * d + i) as u64, ld)
+    dev.launch_fill(&desc, l.as_mut_slice(), |out| {
+        rng.fill_uniform(out, ld, first, 0.0, 1.0)
     })?;
     let desc = desc_for(dev, "gen_g_weights", Phase::Init, cost, elems);
-    dev.launch_map(&desc, g.as_mut_slice(), |i| {
-        rng.uniform_at((row0 * d + i) as u64, gd)
+    dev.launch_fill(&desc, g.as_mut_slice(), |out| {
+        rng.fill_uniform(out, gd, first, 0.0, 1.0)
     })?;
     shard.l = l;
     shard.g = g;
@@ -910,7 +910,7 @@ pub fn sso_update(
 ) -> Result<(), PsoError> {
     let (lo, hi) = domain;
     let d = shard.d;
-    let row0 = shard.row0;
+    let first = shard.global_elem(0);
     let elems = shard.elems() as u64;
     let rng = Philox::new(cfg.seed);
     let dom = domains::sso_update(t);
@@ -926,21 +926,22 @@ pub fn sso_update(
     } = shard;
     let pbest_pos = pbest_pos.as_slice();
     let gbest_pos = gbest_pos.as_slice();
-    dev.launch_update(&desc, pos.as_mut_slice(), |i, p| {
-        let col = i % d;
-        let u = rng.uniform_at((row0 * d + i) as u64, dom);
-        if u < SSO_CG {
-            match lbest {
-                Some(lb) => pbest_pos[lb[i / d] * d + col],
-                None => gbest_pos[col],
+    dev.launch_fill(&desc, pos.as_mut_slice(), |pos| {
+        rng.for_each_word(dom, first, pos.len(), |i, w| {
+            let col = i % d;
+            let u = uniform_f32_from_u32(w);
+            if u < SSO_CG {
+                pos[i] = match lbest {
+                    Some(lb) => pbest_pos[lb[i / d] * d + col],
+                    None => gbest_pos[col],
+                };
+            } else if u < SSO_CP {
+                pos[i] = pbest_pos[i];
+            } else if u >= SSO_CW {
+                pos[i] = lo + (u - SSO_CW) / (1.0 - SSO_CW) * (hi - lo);
             }
-        } else if u < SSO_CP {
-            pbest_pos[i]
-        } else if u < SSO_CW {
-            p
-        } else {
-            lo + (u - SSO_CW) / (1.0 - SSO_CW) * (hi - lo)
-        }
+            // A draw in [Cp, Cw) keeps the current value.
+        })
     })?;
     Ok(())
 }
@@ -1024,7 +1025,10 @@ pub fn explosion(
     let n_sparks = shard.rows * per_fw;
     let rng = Philox::new(cfg.seed);
     let dom = domains::gfwa_sparks(t);
-    let row0 = shard.row0;
+    // Sparks of global firework `r` own the global elements
+    // `[r·S·d, (r+1)·S·d)`, so sharded runs draw exactly the numbers a
+    // single-device run draws.
+    let first = (shard.row0 * per_fw * d) as u64;
     let amp = shard
         .extra
         .as_ref()
@@ -1041,15 +1045,12 @@ pub fn explosion(
         gen_cost,
         (n_sparks * d) as u64,
     );
-    dev.launch_map(&desc, &mut spark_pos, |i| {
-        let fw = i / (per_fw * d);
-        let col = i % d;
-        // Sparks of global firework `r` own the global elements
-        // `[r·S·d, (r+1)·S·d)`, so sharded runs draw exactly the numbers a
-        // single-device run draws.
-        let g = (row0 * per_fw * d + i) as u64;
-        let u = rng.uniform_at(g, dom);
-        (pos[fw * d + col] + amp[fw] * (2.0 * u - 1.0)).clamp(lo, hi)
+    dev.launch_fill(&desc, &mut spark_pos, |out| {
+        rng.for_each_word(dom, first, out.len(), |i, w| {
+            let fw = i / (per_fw * d);
+            let u = uniform_f32_from_u32(w);
+            out[i] = (pos[fw * d + i % d] + amp[fw] * (2.0 * u - 1.0)).clamp(lo, hi);
+        })
     })?;
 
     let eval_cost = KernelCost::elementwise(d as u64 * obj.flops_per_dim(), d as u64 * 4, 4);
@@ -1667,6 +1668,77 @@ mod tests {
         assert_eq!(g1.pos.len(), cfg.n_particles * cfg.dim);
         let (lo, hi) = domain;
         assert!(g1.pos.iter().all(|p| (lo..=hi).contains(p)));
+    }
+
+    /// Every RNG kernel's output for particle rows `[row0, row0 + rows)` of
+    /// a `cfg` swarm: init positions and velocities, the full and the
+    /// low-complexity weights, GFWA sparks and an SSO update, in that order.
+    fn rng_kernel_outputs(cfg: &PsoConfig, row0: usize, rows: usize) -> [Vec<f32>; 8] {
+        let dev = Device::v100();
+        let domain = Sphere.domain();
+        let mut shard = Shard::alloc(&dev, row0, rows, cfg.dim).unwrap();
+        init_shard(&dev, &mut shard, cfg, domain).unwrap();
+        let (pos, vel) = (shard.pos.as_slice().to_vec(), shard.vel.as_slice().to_vec());
+        gen_weights(&dev, &mut shard, cfg, 1, UpdateStrategy::GlobalMem).unwrap();
+        let (l, g) = (shard.l.as_slice().to_vec(), shard.g.as_slice().to_vec());
+        gen_weights(&dev, &mut shard, cfg, 1, UpdateStrategy::LowComplexity).unwrap();
+        let (l_low, g_low) = (shard.l.as_slice().to_vec(), shard.g.as_slice().to_vec());
+        init_gfwa_amplitudes(&dev, &mut shard, domain).unwrap();
+        let sparks = explosion(&dev, &shard, cfg, 1, domain, &Sphere)
+            .unwrap()
+            .pos;
+        eval_shard(&dev, &mut shard, &Sphere).unwrap();
+        pbest_update(&dev, &mut shard).unwrap();
+        adopt_gbest_from_host(&dev, &mut shard, &vec![0.25; cfg.dim], 0.0).unwrap();
+        sso_update(&dev, &mut shard, cfg, 1, domain, None).unwrap();
+        [
+            pos,
+            vel,
+            l,
+            g,
+            l_low,
+            g_low,
+            sparks,
+            shard.pos.as_slice().to_vec(),
+        ]
+    }
+
+    #[test]
+    fn rng_kernels_match_single_device_rows_from_unaligned_shards() {
+        // With d = 5 a shard at row 3 starts at global element 15, lane 3
+        // of a Philox block, and ends mid-block too.
+        let cfg = PsoConfig::builder(9, 5)
+            .max_iter(2)
+            .seed(29)
+            .build()
+            .unwrap();
+        let d = cfg.dim;
+        let (row0, rows) = (3, 4);
+        let full = rng_kernel_outputs(&cfg, 0, cfg.n_particles);
+        let part = rng_kernel_outputs(&cfg, row0, rows);
+        let per_row = [d, d, d, d, 1, 1, GFWA_SPARKS_PER_FIREWORK * d, d];
+        let names = ["pos", "vel", "l", "g", "l_low", "g_low", "sparks", "sso"];
+        for k in 0..8 {
+            let w = per_row[k];
+            assert_eq!(
+                part[k],
+                full[k][row0 * w..(row0 + rows) * w],
+                "{} rows differ",
+                names[k]
+            );
+        }
+        // The single-device draws are the pointwise stream elements.
+        let rng = Philox::new(cfg.seed);
+        let (lo, hi) = Sphere.domain();
+        for (i, &x) in full[0].iter().enumerate() {
+            assert_eq!(x, rng.uniform_range_at(i as u64, domains::INIT_POS, lo, hi));
+        }
+        for (i, &x) in full[2].iter().enumerate() {
+            assert_eq!(x, rng.uniform_at(i as u64, domains::l_matrix(1)));
+        }
+        for (i, &x) in full[5].iter().enumerate() {
+            assert_eq!(x, rng.uniform_at(i as u64, domains::g_matrix(1)));
+        }
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //!
 //! * [`Device::launch_map`] — `out[i] = f(i)` (pure production),
 //! * [`Device::launch_update`] — `out[i] = f(i, out[i])` (in-place update),
+//! * [`Device::launch_fill`] — `f(out)` once over the whole output slice
+//!   (kernels that fill consecutive elements together, e.g. four Philox
+//!   draws per block),
 //! * [`Device::launch_chunks2`] — one thread per *row/particle* updating two
 //!   output arrays chunk-wise (the `pbest` error + position update shape),
 //! * [`Device::launch_visit`] — read-only traversal with per-thread state.
@@ -51,6 +54,21 @@ impl Device {
         out.par_iter_mut()
             .enumerate()
             .for_each(|(i, slot)| *slot = f(i, *slot));
+        Ok(())
+    }
+
+    /// `f(out)` once, over the whole output slice. For kernels whose
+    /// neighbouring elements share work — a Philox block yields four
+    /// consecutive draws — so the kernel walks `out` itself. Same gate and
+    /// charge as [`Self::launch_map`]. `desc.elems` must equal `out.len()`.
+    pub fn launch_fill<T, F>(&self, desc: &KernelDesc, out: &mut [T], f: F) -> Result<(), GpuError>
+    where
+        F: FnOnce(&mut [T]),
+    {
+        self.begin_launch()?;
+        self.check_elems(desc, out.len(), "launch_fill")?;
+        self.charge_kernel(desc);
+        f(out);
         Ok(())
     }
 
@@ -207,6 +225,24 @@ mod tests {
         dev.launch_update(&desc(8), &mut out, |i, old| old + i as f32)
             .unwrap();
         assert_eq!(out[3], 13.0);
+    }
+
+    #[test]
+    fn fill_sees_whole_slice_and_charges_like_map() {
+        let dev = Device::v100();
+        let mut out = vec![1u32; 10];
+        dev.launch_fill(&desc(10), &mut out, |s| {
+            for (i, v) in s.iter_mut().enumerate() {
+                *v += i as u32;
+            }
+        })
+        .unwrap();
+        assert_eq!(out[9], 10);
+        let err = dev.launch_fill(&desc(9), &mut out, |_| {}).unwrap_err();
+        assert!(matches!(err, GpuError::ShapeMismatch { .. }));
+        let c = dev.counters();
+        assert_eq!(c.kernel_launches, 1);
+        assert_eq!(c.flops, 10);
     }
 
     #[test]

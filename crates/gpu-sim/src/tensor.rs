@@ -24,10 +24,32 @@ pub const FRAGMENT_DIM: usize = 16;
 /// Number of elements in one fragment.
 pub const FRAGMENT_ELEMS: usize = FRAGMENT_DIM * FRAGMENT_DIM;
 
+/// `|x|` bit patterns in `[2^-14, 2^16)`: inputs whose binary16 rounding
+/// is a normal f16 or, from 65520 up, overflows to infinity.
+const F16_NORMAL_ABS: std::ops::Range<u32> = 0x3880_0000..0x4780_0000;
+
+/// `|x|` bit patterns whose binary16 rounding is a normal f16 (below 65520,
+/// the midpoint between 65504 and the overflow to infinity).
+const F16_FINITE_NORMAL_ABS: std::ops::Range<u32> = 0x3880_0000..0x477f_f000;
+
+/// Round the low 13 mantissa bits of a positive f32 bit pattern to nearest,
+/// ties to even, leaving them zero. A carry moves into the exponent, which
+/// is the correct rounding at a binade edge.
+#[inline]
+fn round_off_13_bits(abs: u32) -> u32 {
+    (abs + 0x0fff + ((abs >> 13) & 1)) & !0x1fff
+}
+
 /// Convert an `f32` to IEEE 754 binary16 bits, round-to-nearest-even.
 pub fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
+    let abs = bits & 0x7fff_ffff;
+    if F16_NORMAL_ABS.contains(&abs) {
+        // Normal f16: round off 13 mantissa bits, re-bias the exponent
+        // from 127 to 15.
+        return sign | ((round_off_13_bits(abs) - 0x3800_0000) >> 13) as u16;
+    }
     let exp = ((bits >> 23) & 0xff) as i32;
     let mant = bits & 0x007f_ffff;
 
@@ -35,22 +57,9 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
         // Inf / NaN: preserve NaN-ness with a quiet mantissa bit.
         return sign | 0x7c00 | if mant != 0 { 0x0200 } else { 0 };
     }
-    // Re-bias from 127 to 15.
     let unbiased = exp - 127;
     if unbiased > 15 {
         return sign | 0x7c00; // overflow → ±inf
-    }
-    if unbiased >= -14 {
-        // Normal f16. Keep 10 mantissa bits, round to nearest even.
-        let mant16 = mant >> 13;
-        let rest = mant & 0x1fff;
-        let half = 0x1000u32;
-        let exp16 = ((unbiased + 15) as u32) << 10;
-        let mut out = sign as u32 | exp16 | mant16;
-        if rest > half || (rest == half && (mant16 & 1) == 1) {
-            out += 1; // may carry into the exponent — that is correct
-        }
-        return out as u16;
     }
     if unbiased >= -24 {
         // Subnormal f16: value = m16 · 2⁻²⁴ with m16 = round(f · 2^(e+24)),
@@ -93,7 +102,15 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 
 /// Round an `f32` through binary16 and back — the precision a value has
 /// after being loaded into a tensor-core input fragment.
+#[inline]
 pub fn through_f16(x: f32) -> f32 {
+    let bits = x.to_bits();
+    let abs = bits & 0x7fff_ffff;
+    if F16_FINITE_NORMAL_ABS.contains(&abs) {
+        // A normal f16 widens back exactly, so the round trip is the f32
+        // with its low 13 mantissa bits rounded off.
+        return f32::from_bits((bits & 0x8000_0000) | round_off_13_bits(abs));
+    }
     f16_bits_to_f32(f32_to_f16_bits(x))
 }
 
@@ -254,19 +271,22 @@ impl Device {
         };
         self.charge_kernel(&desc);
 
-        let n_inputs = inputs.len();
+        // One row of rounded input values per fragment, allocated once.
+        let width = inputs.len().max(1);
+        let mut scratch = vec![0.0f32; width * out.len().div_ceil(FRAGMENT_ELEMS)];
         out.par_chunks_mut(FRAGMENT_ELEMS)
+            .zip(scratch.par_chunks_mut(width))
             .enumerate()
-            .for_each(|(frag_idx, out_frag)| {
+            .for_each(|(frag_idx, (out_frag, vals))| {
                 let start = frag_idx * FRAGMENT_ELEMS;
-                let mut vals = vec![0.0f32; n_inputs];
+                let vals = &mut vals[..inputs.len()];
                 for (local, slot) in out_frag.iter_mut().enumerate() {
                     let g = start + local;
-                    for (k, input) in inputs.iter().enumerate() {
-                        vals[k] = through_f16(input[g]);
+                    for (v, input) in vals.iter_mut().zip(inputs) {
+                        *v = through_f16(input[g]);
                     }
                     let old = through_f16(*slot);
-                    *slot = f(g, &vals, old);
+                    *slot = f(g, vals, old);
                 }
             });
         Ok(())
@@ -276,6 +296,122 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The converter before the normal-range fast path, kept verbatim as
+    /// the oracle the fast paths must match bit for bit.
+    fn f32_to_f16_bits_oracle(x: f32) -> u16 {
+        let bits = x.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xff) as i32;
+        let mant = bits & 0x007f_ffff;
+
+        if exp == 0xff {
+            // Inf / NaN: preserve NaN-ness with a quiet mantissa bit.
+            return sign | 0x7c00 | if mant != 0 { 0x0200 } else { 0 };
+        }
+        // Re-bias from 127 to 15.
+        let unbiased = exp - 127;
+        if unbiased > 15 {
+            return sign | 0x7c00; // overflow → ±inf
+        }
+        if unbiased >= -14 {
+            // Normal f16. Keep 10 mantissa bits, round to nearest even.
+            let mant16 = mant >> 13;
+            let rest = mant & 0x1fff;
+            let half = 0x1000u32;
+            let exp16 = ((unbiased + 15) as u32) << 10;
+            let mut out = sign as u32 | exp16 | mant16;
+            if rest > half || (rest == half && (mant16 & 1) == 1) {
+                out += 1; // may carry into the exponent — that is correct
+            }
+            return out as u16;
+        }
+        if unbiased >= -24 {
+            // Subnormal f16: value = m16 · 2⁻²⁴ with m16 = round(f · 2^(e+24)),
+            // i.e. drop k = -e-1 bits of the 24-bit significand (k ∈ [14, 23]).
+            let full_mant = mant | 0x0080_0000; // implicit leading 1
+            let k = (-unbiased - 1) as u32;
+            let mant16 = full_mant >> k;
+            let rest = full_mant & ((1u32 << k) - 1);
+            let half = 1u32 << (k - 1);
+            let mut out = sign as u32 | mant16;
+            if rest > half || (rest == half && (mant16 & 1) == 1) {
+                out += 1;
+            }
+            return out as u16;
+        }
+        sign // underflow → ±0
+    }
+
+    /// Both fast paths agree with the oracle at `x`.
+    fn check_against_oracle(x: f32) {
+        let want = f32_to_f16_bits_oracle(x);
+        assert_eq!(
+            f32_to_f16_bits(x),
+            want,
+            "f32_to_f16_bits({:#010x})",
+            x.to_bits()
+        );
+        assert_eq!(
+            through_f16(x).to_bits(),
+            f16_bits_to_f32(want).to_bits(),
+            "through_f16({:#010x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn fast_paths_match_oracle_at_every_f16_and_rounding_midpoint() {
+        // Every positive finite f16 value `lo`, the midpoint to the next
+        // one up (65520 above 65504, where rounding overflows), and one
+        // f32 ulp either side of both; then the same for negatives.
+        for h in 0u16..0x7c00 {
+            let lo = f16_bits_to_f32(h);
+            let hi = if h == 0x7bff {
+                65536.0
+            } else {
+                f16_bits_to_f32(h + 1)
+            };
+            let mid = ((f64::from(lo) + f64::from(hi)) / 2.0) as f32;
+            for v in [lo, mid] {
+                let b = v.to_bits();
+                for bits in [b.saturating_sub(1), b, b + 1] {
+                    check_against_oracle(f32::from_bits(bits));
+                    check_against_oracle(-f32::from_bits(bits));
+                }
+            }
+        }
+        // Infinities, NaNs and everything past the overflow edge.
+        for h in 0x7c00u16..=0xffff {
+            check_against_oracle(f16_bits_to_f32(h));
+        }
+        for bits in [
+            0x477f_f000u32,
+            0x4780_0000,
+            0x7f7f_ffff,
+            0x7f80_0000,
+            0x7fc0_0001,
+        ] {
+            check_against_oracle(f32::from_bits(bits));
+            check_against_oracle(-f32::from_bits(bits));
+        }
+    }
+
+    /// Every f32 input; about 40 s in release mode
+    /// (`cargo test --release -p gpu-sim -- --ignored`).
+    #[test]
+    #[ignore]
+    fn fast_paths_match_oracle_on_all_f32_inputs() {
+        for bits in 0..=u32::MAX {
+            let x = f32::from_bits(bits);
+            let want = f32_to_f16_bits_oracle(x);
+            if f32_to_f16_bits(x) != want
+                || through_f16(x).to_bits() != f16_bits_to_f32(want).to_bits()
+            {
+                check_against_oracle(x);
+            }
+        }
+    }
 
     #[test]
     fn f16_roundtrip_exact_values() {

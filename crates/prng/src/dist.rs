@@ -13,20 +13,9 @@ pub fn uniform_in_range(x: u32, lo: f32, hi: f32) -> f32 {
     lo + (hi - lo) * uniform_f32_from_u32(x)
 }
 
-/// Map a pair of `u32`s to a standard normal via Box–Muller. Returns one
-/// sample (the cosine branch); callers needing both branches can offset the
-/// second word's index instead.
-#[inline]
-pub fn normal_from_u32_pair(a: u32, b: u32) -> f32 {
-    let u1 = (uniform_f32_from_u32(a) as f64).max(1.0e-12);
-    let u2 = uniform_f32_from_u32(b) as f64;
-    ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Philox;
 
     #[test]
     fn unit_interval_bounds_are_tight() {
@@ -40,30 +29,5 @@ mod tests {
     fn range_endpoints_map_correctly() {
         assert_eq!(uniform_in_range(0, -3.0, 5.0), -3.0);
         assert!(uniform_in_range(u32::MAX, -3.0, 5.0) < 5.0);
-    }
-
-    #[test]
-    fn normal_has_zero_mean_unit_variance() {
-        let p = Philox::new(8);
-        let n = 50_000u64;
-        let (mut s, mut s2) = (0.0f64, 0.0f64);
-        for i in 0..n {
-            let z = normal_from_u32_pair(p.u32_at(2 * i, 0), p.u32_at(2 * i + 1, 0)) as f64;
-            s += z;
-            s2 += z * z;
-        }
-        let mean = s / n as f64;
-        let var = s2 / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.02, "mean={mean}");
-        assert!((var - 1.0).abs() < 0.03, "var={var}");
-    }
-
-    #[test]
-    fn normal_never_produces_nan_or_inf() {
-        // Degenerate inputs: u1 = 0 must not produce inf (clamped).
-        let z = normal_from_u32_pair(0, 0);
-        assert!(z.is_finite());
-        let z = normal_from_u32_pair(u32::MAX, u32::MAX);
-        assert!(z.is_finite());
     }
 }

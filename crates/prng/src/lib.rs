@@ -13,7 +13,7 @@
 //!
 //! * [`SplitMix64`] — seed expansion (keys, stream offsets);
 //! * [`Xoshiro256pp`] — a fast sequential generator for host-side baselines;
-//! * [`dist`] — uniform/normal mappings from raw words to floats.
+//! * [`dist`] — uniform mappings from raw words to floats.
 //!
 //! Everything is deterministic and dependency-free.
 //!
@@ -35,7 +35,7 @@ pub mod philox;
 pub mod splitmix;
 pub mod xoshiro;
 
-pub use dist::{normal_from_u32_pair, uniform_f32_from_u32, uniform_in_range};
+pub use dist::{uniform_f32_from_u32, uniform_in_range};
 pub use philox::Philox;
 pub use splitmix::SplitMix64;
 pub use xoshiro::Xoshiro256pp;

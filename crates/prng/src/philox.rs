@@ -27,13 +27,8 @@ fn round(ctr: [u32; 4], key: [u32; 2]) -> [u32; 4] {
 
 /// The raw Philox4x32-10 block function.
 #[inline]
-pub fn philox4x32_10(mut ctr: [u32; 4], mut key: [u32; 2]) -> [u32; 4] {
-    for _ in 0..10 {
-        ctr = round(ctr, key);
-        key[0] = key[0].wrapping_add(W0);
-        key[1] = key[1].wrapping_add(W1);
-    }
-    ctr
+pub fn philox4x32_10(ctr: [u32; 4], key: [u32; 2]) -> [u32; 4] {
+    Philox::new(u64::from(key[0]) | u64::from(key[1]) << 32).block(ctr)
 }
 
 /// A keyed Philox4x32-10 generator.
@@ -45,35 +40,53 @@ pub fn philox4x32_10(mut ctr: [u32; 4], mut key: [u32; 2]) -> [u32; 4] {
 /// computation, matching how a CUDA thread would consume all four lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Philox {
-    key: [u32; 2],
+    /// The key of each of the ten rounds (the seed, bumped by the Weyl
+    /// constants once per round), computed once per generator.
+    round_keys: [[u32; 2]; 10],
 }
 
 impl Philox {
     /// Create a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
-        Philox {
-            key: [seed as u32, (seed >> 32) as u32],
+        let mut key = [seed as u32, (seed >> 32) as u32];
+        let mut round_keys = [[0; 2]; 10];
+        for rk in &mut round_keys {
+            *rk = key;
+            key = [key[0].wrapping_add(W0), key[1].wrapping_add(W1)];
         }
+        Philox { round_keys }
     }
 
     /// The raw block function under this generator's key.
     #[inline]
-    pub fn block(&self, ctr: [u32; 4]) -> [u32; 4] {
-        philox4x32_10(ctr, self.key)
+    pub fn block(&self, mut ctr: [u32; 4]) -> [u32; 4] {
+        for &key in &self.round_keys {
+            ctr = round(ctr, key);
+        }
+        ctr
+    }
+
+    /// Blocks `block` and `block + 1` of stream `domain`, computed in
+    /// lockstep so their independent rounds overlap in the pipeline.
+    /// Element indices wrap like `u64`, so block indices wrap at 2^62.
+    #[inline]
+    fn block_pair(&self, block: u64, domain: u64) -> [u32; 8] {
+        let next = (block + 1) & (u64::MAX >> 2);
+        let (mut a, mut b) = (counter(block, domain), counter(next, domain));
+        for &key in &self.round_keys {
+            a = round(a, key);
+            b = round(b, key);
+        }
+        [a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3]]
     }
 
     /// The `idx`-th 32-bit word of stream `domain`.
+    ///
+    /// For a single draw. Consecutive words share a block, so runs of them
+    /// come from [`Self::for_each_word`], which computes each block once.
     #[inline]
     pub fn u32_at(&self, idx: u64, domain: u64) -> u32 {
-        let block_idx = idx >> 2;
-        let lane = (idx & 3) as usize;
-        let ctr = [
-            block_idx as u32,
-            (block_idx >> 32) as u32,
-            domain as u32,
-            (domain >> 32) as u32,
-        ];
-        self.block(ctr)[lane]
+        self.block(counter(idx >> 2, domain))[(idx & 3) as usize]
     }
 
     /// The `idx`-th uniform `f32` in `[0, 1)` of stream `domain`.
@@ -88,25 +101,58 @@ impl Philox {
         crate::dist::uniform_in_range(self.u32_at(idx, domain), lo, hi)
     }
 
-    /// The `idx`-th standard-normal draw of stream `domain` (Box–Muller
-    /// over two counter-addressed words; like the uniform accessors, any
-    /// draw is computable independently from any thread).
+    /// Visit `len` consecutive words of stream `domain` from element
+    /// `offset` on: `f(i, w)` with `w == u32_at(offset + i, domain)`, in
+    /// order of `i`. Computes one block per four words, two blocks at a
+    /// time; an unaligned `offset` starts mid-block.
     #[inline]
-    pub fn normal_at(&self, idx: u64, domain: u64) -> f32 {
-        crate::dist::normal_from_u32_pair(
-            self.u32_at(2 * idx, domain),
-            self.u32_at(2 * idx + 1, domain),
-        )
+    pub fn for_each_word(
+        &self,
+        domain: u64,
+        offset: u64,
+        len: usize,
+        mut f: impl FnMut(usize, u32),
+    ) {
+        let mut i = 0;
+        while i < len {
+            let idx = offset.wrapping_add(i as u64);
+            let lane = (idx & 3) as usize;
+            if lane == 0 && len - i >= 8 {
+                for (k, &w) in self.block_pair(idx >> 2, domain).iter().enumerate() {
+                    f(i + k, w);
+                }
+                i += 8;
+            } else {
+                let take = (4 - lane).min(len - i);
+                let words = self.block(counter(idx >> 2, domain));
+                for (k, &w) in words[lane..lane + take].iter().enumerate() {
+                    f(i + k, w);
+                }
+                i += take;
+            }
+        }
     }
 
     /// Fill `out` with stream `domain`'s words mapped to `[lo, hi)`,
-    /// starting at stream element `offset`. Sequential helper for hosts;
-    /// device kernels call [`Self::uniform_range_at`] per element instead.
+    /// starting at stream element `offset`: `out[i]` equals
+    /// `uniform_range_at(offset + i, domain, lo, hi)`. Device kernels fill
+    /// their whole output slice through this, one block per four draws.
     pub fn fill_uniform(&self, out: &mut [f32], domain: u64, offset: u64, lo: f32, hi: f32) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.uniform_range_at(offset + i as u64, domain, lo, hi);
-        }
+        self.for_each_word(domain, offset, out.len(), |i, w| {
+            out[i] = crate::dist::uniform_in_range(w, lo, hi);
+        });
     }
+}
+
+/// The Philox counter of block `block` in stream `domain`.
+#[inline]
+fn counter(block: u64, domain: u64) -> [u32; 4] {
+    [
+        block as u32,
+        (block >> 32) as u32,
+        domain as u32,
+        (domain >> 32) as u32,
+    ]
 }
 
 #[cfg(test)]
@@ -209,20 +255,18 @@ mod tests {
     }
 
     #[test]
-    fn normal_at_is_standard_normal() {
-        let p = Philox::new(3);
-        let n = 50_000u64;
-        let (mut s, mut s2) = (0.0f64, 0.0f64);
-        for i in 0..n {
-            let z = p.normal_at(i, 4) as f64;
-            s += z;
-            s2 += z * z;
-        }
-        let mean = s / n as f64;
-        let var = s2 / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.02, "mean={mean}");
-        assert!((var - 1.0).abs() < 0.03, "var={var}");
-        assert_eq!(p.normal_at(9, 4), Philox::new(3).normal_at(9, 4));
+    fn for_each_word_wraps_like_u64_element_indices() {
+        let p = Philox::new(13);
+        let start = u64::MAX - 5;
+        let mut got = Vec::new();
+        p.for_each_word(2, start, 12, |i, w| {
+            assert_eq!(i, got.len());
+            got.push(w);
+        });
+        let want: Vec<u32> = (0..12)
+            .map(|i| p.u32_at(start.wrapping_add(i), 2))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

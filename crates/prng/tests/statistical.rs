@@ -116,6 +116,34 @@ proptest! {
         }
     }
 
+    /// The block visitor equals pointwise `u32_at`, in order, for every
+    /// head alignment (`offset % 4` in 0..4), short and long runs, domains
+    /// with a non-zero high word, and runs whose block index crosses 2^32.
+    #[test]
+    fn for_each_word_matches_pointwise_u32_at(
+        seed in any::<u64>(),
+        domain_lo in any::<u32>(),
+        domain_hi in 1u32..u32::MAX,
+        block in 0u64..1_000_000,
+        cross_2_32 in any::<bool>(),
+        lane in 0u64..4,
+        short in 0usize..10,
+        long in 0usize..201,
+    ) {
+        let p = Philox::new(seed);
+        let domain = (u64::from(domain_hi) << 32) | u64::from(domain_lo);
+        // Crossing runs start up to 40 blocks below block 2^32.
+        let block = if cross_2_32 { (1u64 << 32) - 1 - block % 40 } else { block };
+        let offset = (block << 2) | lane;
+        for len in [short, long] {
+            let mut got = Vec::new();
+            p.for_each_word(domain, offset, len, |i, w| got.push((i, w)));
+            let want: Vec<(usize, u32)> =
+                (0..len).map(|i| (i, p.u32_at(offset + i as u64, domain))).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
     /// Range mapping respects bounds for arbitrary finite ranges.
     #[test]
     fn range_mapping_respects_bounds(
