@@ -225,13 +225,13 @@ pub fn init_shard(
 
     let first = shard.global_elem(0);
     let desc = desc_for(dev, "init_positions", Phase::Init, rng_cost, elems);
-    dev.launch_fill(&desc, shard.pos.as_mut_slice(), |out| {
-        rng.fill_uniform(out, domains::INIT_POS, first, lo, hi)
+    dev.launch_fill(&desc, shard.pos.as_mut_slice(), |off, out| {
+        rng.fill_uniform(out, domains::INIT_POS, first + off as u64, lo, hi)
     })?;
 
     let desc = desc_for(dev, "init_velocities", Phase::Init, rng_cost, elems);
-    dev.launch_fill(&desc, shard.vel.as_mut_slice(), |out| {
-        rng.fill_uniform(out, domains::INIT_VEL, first, -vscale, vscale)
+    dev.launch_fill(&desc, shard.vel.as_mut_slice(), |off, out| {
+        rng.fill_uniform(out, domains::INIT_VEL, first + off as u64, -vscale, vscale)
     })?;
 
     let desc = desc_for(
@@ -274,12 +274,12 @@ pub fn gen_weights(
         let mut l = dev.alloc::<f32>(shard.rows)?;
         let mut g = dev.alloc::<f32>(shard.rows)?;
         let desc = desc_for(dev, "gen_l_weights_lowcomp", Phase::Init, cost, elems);
-        dev.launch_fill(&desc, l.as_mut_slice(), |out| {
-            rng.fill_uniform(out, ld, first, 0.0, 1.0)
+        dev.launch_fill(&desc, l.as_mut_slice(), |off, out| {
+            rng.fill_uniform(out, ld, first + off as u64, 0.0, 1.0)
         })?;
         let desc = desc_for(dev, "gen_g_weights_lowcomp", Phase::Init, cost, elems);
-        dev.launch_fill(&desc, g.as_mut_slice(), |out| {
-            rng.fill_uniform(out, gd, first, 0.0, 1.0)
+        dev.launch_fill(&desc, g.as_mut_slice(), |off, out| {
+            rng.fill_uniform(out, gd, first + off as u64, 0.0, 1.0)
         })?;
         shard.l = l;
         shard.g = g;
@@ -297,12 +297,12 @@ pub fn gen_weights(
     let mut g = dev.alloc::<f32>(shard.elems())?;
 
     let desc = desc_for(dev, "gen_l_weights", Phase::Init, cost, elems);
-    dev.launch_fill(&desc, l.as_mut_slice(), |out| {
-        rng.fill_uniform(out, ld, first, 0.0, 1.0)
+    dev.launch_fill(&desc, l.as_mut_slice(), |off, out| {
+        rng.fill_uniform(out, ld, first + off as u64, 0.0, 1.0)
     })?;
     let desc = desc_for(dev, "gen_g_weights", Phase::Init, cost, elems);
-    dev.launch_fill(&desc, g.as_mut_slice(), |out| {
-        rng.fill_uniform(out, gd, first, 0.0, 1.0)
+    dev.launch_fill(&desc, g.as_mut_slice(), |off, out| {
+        rng.fill_uniform(out, gd, first + off as u64, 0.0, 1.0)
     })?;
     shard.l = l;
     shard.g = g;
@@ -926,19 +926,20 @@ pub fn sso_update(
     } = shard;
     let pbest_pos = pbest_pos.as_slice();
     let gbest_pos = gbest_pos.as_slice();
-    dev.launch_fill(&desc, pos.as_mut_slice(), |pos| {
-        rng.for_each_word(dom, first, pos.len(), |i, w| {
+    dev.launch_fill(&desc, pos.as_mut_slice(), |off, pos| {
+        rng.for_each_word(dom, first + off as u64, pos.len(), |k, w| {
+            let i = off + k;
             let col = i % d;
             let u = uniform_f32_from_u32(w);
             if u < SSO_CG {
-                pos[i] = match lbest {
+                pos[k] = match lbest {
                     Some(lb) => pbest_pos[lb[i / d] * d + col],
                     None => gbest_pos[col],
                 };
             } else if u < SSO_CP {
-                pos[i] = pbest_pos[i];
+                pos[k] = pbest_pos[i];
             } else if u >= SSO_CW {
-                pos[i] = lo + (u - SSO_CW) / (1.0 - SSO_CW) * (hi - lo);
+                pos[k] = lo + (u - SSO_CW) / (1.0 - SSO_CW) * (hi - lo);
             }
             // A draw in [Cp, Cw) keeps the current value.
         })
@@ -1045,11 +1046,12 @@ pub fn explosion(
         gen_cost,
         (n_sparks * d) as u64,
     );
-    dev.launch_fill(&desc, &mut spark_pos, |out| {
-        rng.for_each_word(dom, first, out.len(), |i, w| {
+    dev.launch_fill(&desc, &mut spark_pos, |off, out| {
+        rng.for_each_word(dom, first + off as u64, out.len(), |k, w| {
+            let i = off + k;
             let fw = i / (per_fw * d);
             let u = uniform_f32_from_u32(w);
-            out[i] = (pos[fw * d + i % d] + amp[fw] * (2.0 * u - 1.0)).clamp(lo, hi);
+            out[k] = (pos[fw * d + i % d] + amp[fw] * (2.0 * u - 1.0)).clamp(lo, hi);
         })
     })?;
 
@@ -1093,15 +1095,13 @@ pub fn guiding_spark(
 
     // Per-firework spark ranking, computed once (host mirror of the
     // device-side sort the real kernel would do per block).
-    let mut order: Vec<usize> = Vec::with_capacity(shard.rows * per_fw);
-    for fw in 0..shard.rows {
-        let mut idx: Vec<usize> = (0..per_fw).collect();
-        idx.sort_by(|&a, &b| {
-            ex.err[fw * per_fw + a]
-                .total_cmp(&ex.err[fw * per_fw + b])
-                .then(a.cmp(&b))
-        });
-        order.extend_from_slice(&idx);
+    let mut order: Vec<usize> = (0..shard.rows * per_fw).map(|k| k % per_fw).collect();
+    for (idx, err) in order
+        .chunks_exact_mut(per_fw)
+        .zip(ex.err.chunks_exact(per_fw))
+    {
+        // (error, index) is a total order, so the unstable sort is exact.
+        idx.sort_unstable_by(|&a, &b| err[a].total_cmp(&err[b]).then(a.cmp(&b)));
     }
 
     let mut gpos = vec![0.0f32; shard.rows * d];
@@ -1706,38 +1706,42 @@ mod tests {
     #[test]
     fn rng_kernels_match_single_device_rows_from_unaligned_shards() {
         // With d = 5 a shard at row 3 starts at global element 15, lane 3
-        // of a Philox block, and ends mid-block too.
-        let cfg = PsoConfig::builder(9, 5)
-            .max_iter(2)
-            .seed(29)
-            .build()
-            .unwrap();
-        let d = cfg.dim;
-        let (row0, rows) = (3, 4);
-        let full = rng_kernel_outputs(&cfg, 0, cfg.n_particles);
-        let part = rng_kernel_outputs(&cfg, row0, rows);
-        let per_row = [d, d, d, d, 1, 1, GFWA_SPARKS_PER_FIREWORK * d, d];
-        let names = ["pos", "vel", "l", "g", "l_low", "g_low", "sparks", "sso"];
-        for k in 0..8 {
-            let w = per_row[k];
-            assert_eq!(
-                part[k],
-                full[k][row0 * w..(row0 + rows) * w],
-                "{} rows differ",
-                names[k]
-            );
-        }
-        // The single-device draws are the pointwise stream elements.
-        let rng = Philox::new(cfg.seed);
-        let (lo, hi) = Sphere.domain();
-        for (i, &x) in full[0].iter().enumerate() {
-            assert_eq!(x, rng.uniform_range_at(i as u64, domains::INIT_POS, lo, hi));
-        }
-        for (i, &x) in full[2].iter().enumerate() {
-            assert_eq!(x, rng.uniform_at(i as u64, domains::l_matrix(1)));
-        }
-        for (i, &x) in full[5].iter().enumerate() {
-            assert_eq!(x, rng.uniform_at(i as u64, domains::g_matrix(1)));
+        // of a Philox block, and ends mid-block too. At d = 65 the same
+        // shard starts at element 195 (lane 3 again) and its launches are
+        // heavy enough to split across host threads at offsets that are
+        // multiples of four within the shard, so every part starts
+        // mid-block as well.
+        for (n, d, rows) in [(9, 5, 4), (2052, 65, 2048)] {
+            let cfg = PsoConfig::builder(n, d)
+                .max_iter(2)
+                .seed(29)
+                .build()
+                .unwrap();
+            let row0 = 3;
+            let full = rng_kernel_outputs(&cfg, 0, n);
+            let part = rng_kernel_outputs(&cfg, row0, rows);
+            let per_row = [d, d, d, d, 1, 1, GFWA_SPARKS_PER_FIREWORK * d, d];
+            let names = ["pos", "vel", "l", "g", "l_low", "g_low", "sparks", "sso"];
+            for k in 0..8 {
+                let w = per_row[k];
+                assert!(
+                    part[k] == full[k][row0 * w..(row0 + rows) * w],
+                    "{} rows differ at d = {d}",
+                    names[k]
+                );
+            }
+            // The single-device draws are the pointwise stream elements.
+            let rng = Philox::new(cfg.seed);
+            let (lo, hi) = Sphere.domain();
+            for (i, &x) in full[0].iter().enumerate() {
+                assert_eq!(x, rng.uniform_range_at(i as u64, domains::INIT_POS, lo, hi));
+            }
+            for (i, &x) in full[2].iter().enumerate() {
+                assert_eq!(x, rng.uniform_at(i as u64, domains::l_matrix(1)));
+            }
+            for (i, &x) in full[5].iter().enumerate() {
+                assert_eq!(x, rng.uniform_at(i as u64, domains::g_matrix(1)));
+            }
         }
     }
 

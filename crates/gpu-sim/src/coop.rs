@@ -30,7 +30,6 @@ use crate::device::{Device, GRID_SYNC_OVERHEAD_S};
 use crate::error::GpuError;
 use crate::launch::{KernelCost, KernelDesc, LaunchConfig};
 use perf_model::{MemoryPattern, Phase};
-use rayon::prelude::*;
 
 /// Execution context of one thread block in a cooperative kernel.
 pub struct BlockCtx<'a> {
@@ -160,7 +159,6 @@ impl Device {
         self.charge_kernel(&out_desc);
 
         let results: Vec<f32> = (0..blocks)
-            .into_par_iter()
             .map(|block_idx| {
                 let block_start = block_idx * block_dim;
                 let mut shared = vec![0.0f32; shared_elems];

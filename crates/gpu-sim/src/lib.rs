@@ -6,9 +6,10 @@
 //!
 //! Two things happen on every kernel launch:
 //!
-//! 1. the kernel body **really executes** (data-parallel on the host via
-//!    rayon), so optimization results are genuine, bit-for-bit comparable to
-//!    a scalar reference implementation; and
+//! 1. the kernel body **really executes** on the host (a heavy element-wise
+//!    launch splits across the host's cores), so optimization results are
+//!    genuine, bit-for-bit comparable to a scalar reference implementation;
+//!    and
 //! 2. the launch's work descriptor (threads, flops, bytes per memory space,
 //!    access pattern) is priced by [`perf_model`] against a device profile
 //!    (Tesla V100 by default) and charged to a per-phase [`Timeline`].
@@ -47,6 +48,7 @@ pub mod lease;
 pub mod multi;
 pub mod profiler;
 pub mod reduce;
+mod split;
 pub mod stream;
 pub mod sync;
 pub mod tensor;

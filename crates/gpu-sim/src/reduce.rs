@@ -10,7 +10,6 @@ use crate::device::Device;
 use crate::error::GpuError;
 use crate::launch::{KernelCost, KernelDesc, LaunchConfig, DEFAULT_BLOCK};
 use perf_model::{MemoryPattern, Phase};
-use rayon::prelude::*;
 
 /// Result of an argmin reduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,36 +29,19 @@ impl Device {
             return Err(GpuError::Empty("reduce_min_index"));
         }
         self.charge_reduction(phase, data.len(), 8);
-        let (index, value) = data.par_iter().copied().enumerate().reduce(
-            || (usize::MAX, f32::INFINITY),
-            |a, b| {
-                // NaN never wins, so a swarm with NaN errors keeps its
-                // previous best; ties keep the earliest index so the
-                // result matches a deterministic sequential scan.
-                let a_valid = a.0 != usize::MAX && !a.1.is_nan();
-                let b_valid = b.0 != usize::MAX && !b.1.is_nan();
-                match (a_valid, b_valid) {
-                    (true, false) | (false, false) => a,
-                    (false, true) => b,
-                    (true, true) => {
-                        if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-                            b
-                        } else {
-                            a
-                        }
-                    }
-                }
-            },
-        );
-        if index == usize::MAX {
-            // All-NaN input: fall back to index 0 like a sequential scan
-            // that never updates its running best.
-            return Ok(MinResult {
-                value: data[0],
-                index: 0,
-            });
+        // A sequential scan. NaN never wins, so a swarm with NaN errors
+        // keeps its previous best; the strict `<` keeps the earliest index
+        // on ties. An all-NaN input falls back to index 0.
+        let mut best: Option<MinResult> = None;
+        for (index, &value) in data.iter().enumerate() {
+            if !value.is_nan() && best.is_none_or(|b| value < b.value) {
+                best = Some(MinResult { value, index });
+            }
         }
-        Ok(MinResult { value, index })
+        Ok(best.unwrap_or(MinResult {
+            value: data[0],
+            index: 0,
+        }))
     }
 
     /// Sum of all elements (used by evaluation kernels and `tgbm`).
@@ -69,9 +51,11 @@ impl Device {
             return Err(GpuError::Empty("reduce_sum"));
         }
         self.charge_reduction(phase, data.len(), 4);
-        // f64 accumulation keeps the result independent of the parallel
-        // split, so reductions are bit-deterministic across runs.
-        Ok(data.par_iter().map(|&x| x as f64).sum())
+        // A sequential left fold in f64: f64 addition is not associative,
+        // so any other order (a split across threads, a tree) could round
+        // differently. `-0.0` is the additive identity `Iterator::sum`
+        // starts from, so an all-`-0.0` input keeps its sign.
+        Ok(data.iter().fold(-0.0, |acc, &x| acc + f64::from(x)))
     }
 
     /// Charge the modeled cost of a tree reduction over `n` elements, where
@@ -151,6 +135,19 @@ mod tests {
         let data: Vec<f32> = (1..=1000).map(|i| i as f32).collect();
         let s = dev.reduce_sum(Phase::Eval, &data).unwrap();
         assert_eq!(s, 500_500.0);
+    }
+
+    #[test]
+    fn sum_is_a_left_fold() {
+        // Left to right, 2^60 absorbs the 1.0; any order that adds
+        // 2^60 and -2^60 first would return 1.0.
+        let big = 2.0f32.powi(60);
+        let dev = Device::v100();
+        let s = dev.reduce_sum(Phase::Eval, &[big, 1.0, -big]).unwrap();
+        assert_eq!(s, 0.0);
+        assert_eq!((f64::from(big) + f64::from(-big)) + 1.0, 1.0);
+        let s = dev.reduce_sum(Phase::Eval, &[-0.0, -0.0]).unwrap();
+        assert_eq!(s.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 use crate::device::Device;
 use crate::error::GpuError;
 use crate::launch::{KernelCost, KernelDesc, LaunchConfig};
+use crate::split::{host_ways, split_slice};
 use perf_model::{MemoryPattern, Phase};
-use rayon::prelude::*;
 
 /// Edge length of a tensor-core fragment (16×16 on Volta).
 pub const FRAGMENT_DIM: usize = 16;
@@ -271,24 +271,25 @@ impl Device {
         };
         self.charge_kernel(&desc);
 
-        // One row of rounded input values per fragment, allocated once.
-        let width = inputs.len().max(1);
-        let mut scratch = vec![0.0f32; width * out.len().div_ceil(FRAGMENT_ELEMS)];
-        out.par_chunks_mut(FRAGMENT_ELEMS)
-            .zip(scratch.par_chunks_mut(width))
-            .enumerate()
-            .for_each(|(frag_idx, (out_frag, vals))| {
-                let start = frag_idx * FRAGMENT_ELEMS;
-                let vals = &mut vals[..inputs.len()];
-                for (local, slot) in out_frag.iter_mut().enumerate() {
-                    let g = start + local;
-                    for (v, input) in vals.iter_mut().zip(inputs) {
-                        *v = through_f16(input[g]);
-                    }
-                    let old = through_f16(*slot);
-                    *slot = f(g, vals, old);
+        // Each part holds whole fragments and one row of rounded input
+        // values, reused across its elements.
+        let fragments = |off: usize, part: &mut [f32]| {
+            let mut vals = vec![0.0f32; inputs.len()];
+            for (local, slot) in part.iter_mut().enumerate() {
+                let g = off + local;
+                for (v, input) in vals.iter_mut().zip(inputs) {
+                    *v = through_f16(input[g]);
                 }
-            });
+                let old = through_f16(*slot);
+                *slot = f(g, &vals, old);
+            }
+        };
+        let ways = host_ways(&desc);
+        if ways == 1 {
+            fragments(0, out);
+        } else {
+            split_slice(out, FRAGMENT_ELEMS, ways, fragments);
+        }
         Ok(())
     }
 }
@@ -521,6 +522,31 @@ mod tests {
         let c = dev.counters();
         assert_eq!(c.tensor_flops, 64);
         assert_eq!(c.flops, 0);
+    }
+
+    #[test]
+    fn split_tensor_launch_equals_a_sequential_loop() {
+        let dev = Device::v100();
+        let n = FRAGMENT_ELEMS * 300 + 5;
+        let flops = crate::split::SPLIT_MIN_FLOPS.div_ceil(n as u64);
+        let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.618).sin() * 70.0).collect();
+        let b: Vec<f32> = (0..n).map(|i| i as f32 * 0.3).collect();
+        let mut out: Vec<f32> = (0..n).map(|i| 1.0 / (i + 1) as f32).collect();
+        let body = |g: usize, x: f32, y: f32, old: f32| x * y - old + g as f32;
+        let want: Vec<f32> = (0..n)
+            .map(|g| body(g, through_f16(a[g]), through_f16(b[g]), through_f16(out[g])))
+            .collect();
+        dev.launch_tensor_elementwise(
+            "heavy",
+            Phase::SwarmUpdate,
+            flops,
+            &[&a, &b],
+            &mut out,
+            |g, ins, old| body(g, ins[0], ins[1], old),
+        )
+        .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&want));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 use crate::device::Device;
 use crate::error::GpuError;
 use crate::launch::{KernelCost, KernelDesc, LaunchConfig};
+use crate::split::{host_ways, split_slice};
 use perf_model::{MemoryPattern, Phase};
-use rayon::prelude::*;
 
 /// Default tile edge used by the shared-memory swarm update; a 32×32 f32
 /// tile is 4 KiB, letting several blocks stage multiple operand tiles per SM.
@@ -99,10 +99,10 @@ impl Device {
         };
         self.charge_kernel(&desc);
 
-        out.par_chunks_mut(tile_elems)
-            .enumerate()
-            .for_each(|(tile_idx, out_tile)| {
-                let tile_start = tile_idx * tile_elems;
+        // Each part holds whole tiles.
+        let tiles = |off: usize, part: &mut [f32]| {
+            for (k, out_tile) in part.chunks_mut(tile_elems).enumerate() {
+                let tile_start = off + k * tile_elems;
                 let len = out_tile.len();
                 // Stage: global → shared (real copies).
                 let out_old = out_tile.to_vec();
@@ -119,7 +119,14 @@ impl Device {
                 for (local, slot) in out_tile.iter_mut().enumerate() {
                     *slot = f(tile_start + local, local, &ctx);
                 }
-            });
+            }
+        };
+        let ways = host_ways(&desc);
+        if ways == 1 {
+            tiles(0, out);
+        } else {
+            split_slice(out, tile_elems, ways, tiles);
+        }
         Ok(())
     }
 }
@@ -149,6 +156,35 @@ mod tests {
             let expect = 1.0 + i as f32 * 0.5 + 2.0 * i as f32;
             assert_eq!(v, expect, "mismatch at {i}");
         }
+    }
+
+    #[test]
+    fn split_tiled_launch_equals_a_sequential_loop() {
+        let dev = Device::v100();
+        let tile = 16;
+        let n = tile * 2000 + 7;
+        let flops = crate::split::SPLIT_MIN_FLOPS.div_ceil(n as u64);
+        let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.618).sin()).collect();
+        let mut out: Vec<f32> = (0..n).map(|i| i as f32 * 1e-3).collect();
+        let want: Vec<f32> = (0..n)
+            .map(|g| (out[g] * 0.5 + a[g] * (g % tile) as f32).cos())
+            .collect();
+        dev.launch_tiled(
+            "heavy",
+            Phase::Other,
+            flops,
+            tile,
+            &[&a],
+            &mut out,
+            |g, local, ctx| {
+                assert_eq!(g, ctx.tile_start + local);
+                assert_eq!(ctx.tile_start % tile, 0);
+                (ctx.out_old[local] * 0.5 + ctx.inputs[0][local] * local as f32).cos()
+            },
+        )
+        .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&want));
     }
 
     #[test]
