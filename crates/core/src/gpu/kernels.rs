@@ -85,7 +85,8 @@ impl fmt::Display for UpdateStrategy {
     }
 }
 
-/// Parses the canonical short names plus common aliases, case-insensitively.
+/// Parses the canonical short names plus common aliases, case-insensitively
+/// and ignoring surrounding whitespace.
 ///
 /// Accepted spellings per variant (canonical name first — the one
 /// [`Display`](fmt::Display) prints, so `Display` → `FromStr` always
@@ -112,7 +113,7 @@ impl FromStr for UpdateStrategy {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "global" | "globalmem" | "global-mem" => Ok(UpdateStrategy::GlobalMem),
             "smem" | "shared" | "sharedmem" | "shared-mem" => Ok(UpdateStrategy::SharedMem),
             "tensor" | "tensorcore" | "tensor-core" | "wmma" => Ok(UpdateStrategy::TensorCore),

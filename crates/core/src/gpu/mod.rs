@@ -7,7 +7,7 @@ use crate::algo::Algorithm;
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
-use crate::plan::{BestReduce, ExecutionPlan, PlanRun};
+use crate::plan::{check_shardable, partition, BestReduce, ExecutionPlan, PlanRun};
 use crate::resilience::ResilienceConfig;
 use crate::result::RunResult;
 use fastpso_functions::Objective;
@@ -15,7 +15,8 @@ use gpu_sim::{AllocMode, Device, DeviceGroup};
 
 pub use kernels::UpdateStrategy;
 
-/// FastPSO on one (simulated) GPU.
+/// FastPSO on one (simulated) GPU, or on a device group through
+/// [`multi::MultiGpuBackend`].
 ///
 /// Construction is builder-style:
 ///
@@ -31,9 +32,12 @@ pub use kernels::UpdateStrategy;
 /// fusion and stream overlap are all plan-level concerns (see the
 /// [`crate::plan`] module).
 pub struct GpuBackend {
-    /// The backing device as a group of one: the plan executor runs every
-    /// plan on a device group.
+    /// The backing devices: a group of one for [`GpuBackend::new`], one
+    /// shard per device for [`multi::MultiGpuBackend`].
     group: DeviceGroup,
+    /// How shard bests combine: `Local` on a single device, `Exchange` on
+    /// a named device group.
+    reduce: BestReduce,
     strategy: UpdateStrategy,
     algorithm: Algorithm,
     resilience: Option<ResilienceConfig>,
@@ -59,6 +63,7 @@ impl GpuBackend {
     pub fn with_device(device: Device) -> Self {
         GpuBackend {
             group: DeviceGroup::from_devices(vec![device]),
+            reduce: BestReduce::Local,
             strategy: UpdateStrategy::GlobalMem,
             algorithm: Algorithm::Pso,
             resilience: None,
@@ -97,7 +102,7 @@ impl GpuBackend {
     }
 
     /// Select the device allocation mode (Table 4's ablation). Applied to
-    /// the device at the start of every run.
+    /// every device at the start of every run.
     pub fn alloc_mode(mut self, mode: AllocMode) -> Self {
         self.alloc_mode = Some(mode);
         self
@@ -136,7 +141,7 @@ impl GpuBackend {
 
     /// The backing device (for timeline/metrics inspection).
     pub fn device(&self) -> &Device {
-        self.group.device(0).expect("a group of one")
+        self.group.device(0).expect("a non-empty group")
     }
 
     /// Profiler snapshot of the most recent run: one record per kernel
@@ -157,7 +162,7 @@ impl GpuBackend {
     /// built the same way [`GpuBackend::run`] builds it, with the configured
     /// rewrite passes applied.
     pub fn plan(&self, cfg: &PsoConfig) -> ExecutionPlan {
-        let mut plan = ExecutionPlan::build_for(self.algorithm, cfg, 1, BestReduce::Local);
+        let mut plan = ExecutionPlan::build_for(self.algorithm, cfg, self.group.len(), self.reduce);
         if self.fuse {
             plan.fuse_swarm_update(self.strategy);
         }
@@ -194,8 +199,14 @@ impl PsoBackend for GpuBackend {
     }
 
     fn run(&self, cfg: &PsoConfig, obj: &dyn Objective) -> Result<RunResult, PsoError> {
+        let k = self.group.len();
+        if let BestReduce::Exchange { .. } = self.reduce {
+            check_shardable(cfg, k).map_err(PsoError::InvalidConfig)?;
+        }
         if let Some(mode) = self.alloc_mode {
-            self.device().set_alloc_mode(mode);
+            for dev in self.group.iter() {
+                dev.set_alloc_mode(mode);
+            }
         }
         let plan = self.plan(cfg);
         PlanRun {
@@ -204,7 +215,7 @@ impl PsoBackend for GpuBackend {
             obj,
             strategy: self.strategy,
             resilience: self.resilience.as_ref(),
-            partitions: &[(0, cfg.n_particles)],
+            partitions: &partition(cfg.n_particles, k),
             target: &self.group,
         }
         .execute()

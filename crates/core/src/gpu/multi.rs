@@ -15,21 +15,21 @@
 //! Modeled wall-clock for a group is the per-device maximum — devices run
 //! concurrently — plus the charged exchange traffic.
 //!
-//! Both strategies lower onto the same [`ExecutionPlan`] the single-GPU
-//! backend uses, with a [`BestReduce::Exchange`] reduction node standing in
-//! for the local adopt; the plan executor (see [`crate::plan`]) owns the
+//! A `MultiGpuBackend` is a [`GpuBackend`] on a named device group: one
+//! shard per device, with a [`BestReduce::Exchange`] reduction node standing
+//! in for the local adopt. The plan executor (see [`crate::plan`]) owns the
 //! run loop, resilience and stream scheduling.
 
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
-use crate::plan::{BestReduce, ExecutionPlan, PlanRun};
+use crate::plan::BestReduce;
 use crate::resilience::ResilienceConfig;
 use crate::result::RunResult;
 use fastpso_functions::Objective;
-use gpu_sim::{AllocMode, DeviceGroup};
+use gpu_sim::DeviceGroup;
 
-use super::kernels::UpdateStrategy;
+use super::GpuBackend;
 
 /// Multi-GPU work decomposition (paper §3.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,38 +45,25 @@ pub enum MultiGpuStrategy {
 
 /// FastPSO across a device group.
 pub struct MultiGpuBackend {
-    group: DeviceGroup,
+    gpu: GpuBackend,
     strategy: MultiGpuStrategy,
-    update: UpdateStrategy,
-    resilience: Option<ResilienceConfig>,
-    alloc_mode: Option<AllocMode>,
-    fuse: bool,
-    streams: bool,
 }
 
 impl MultiGpuBackend {
     /// FastPSO on `n_devices` V100s with the given decomposition.
     pub fn new(n_devices: usize, strategy: MultiGpuStrategy) -> Self {
-        Self::with_group(DeviceGroup::v100s(n_devices.max(1)), strategy)
-    }
-
-    /// FastPSO on an explicit device group.
-    pub fn with_group(group: DeviceGroup, strategy: MultiGpuStrategy) -> Self {
+        let sync_every = match strategy {
+            MultiGpuStrategy::TileMatrix => 1,
+            MultiGpuStrategy::ParticleSplit { sync_every } => sync_every,
+        };
         MultiGpuBackend {
-            group,
+            gpu: GpuBackend {
+                group: DeviceGroup::v100s(n_devices.max(1)),
+                reduce: BestReduce::Exchange { sync_every },
+                ..GpuBackend::new()
+            },
             strategy,
-            update: UpdateStrategy::GlobalMem,
-            resilience: None,
-            alloc_mode: None,
-            fuse: false,
-            streams: false,
         }
-    }
-
-    /// Select the per-device swarm-update memory strategy.
-    pub fn update_strategy(mut self, s: UpdateStrategy) -> Self {
-        self.update = s;
-        self
     }
 
     /// Enable the resilient execution layer: per-device bounded retry,
@@ -84,91 +71,20 @@ impl MultiGpuBackend {
     /// quarantine, strategy degradation, and — unique to the multi-GPU
     /// path — re-homing a lost device's sub-swarm onto a survivor.
     pub fn resilient(mut self, r: ResilienceConfig) -> Self {
-        self.resilience = Some(r);
-        self
-    }
-
-    /// Select the allocation mode for every device in the group (Table 4's
-    /// ablation). Applied at the start of every run.
-    pub fn alloc_mode(mut self, mode: AllocMode) -> Self {
-        self.alloc_mode = Some(mode);
+        self.gpu = self.gpu.resilient(r);
         self
     }
 
     /// Enable the kernel-fusion rewrite pass on every shard's update pair
-    /// (identity for the tiled strategies; see [`ExecutionPlan::fuse_swarm_update`]).
+    /// (see [`GpuBackend::fused`]).
     pub fn fused(mut self, on: bool) -> Self {
-        self.fuse = on;
-        self
-    }
-
-    /// Enable simulated stream overlap on every device (see
-    /// [`ExecutionPlan::assign_streams`]).
-    pub fn streams(mut self, on: bool) -> Self {
-        self.streams = on;
+        self.gpu = self.gpu.fused(on);
         self
     }
 
     /// The backing device group.
     pub fn group(&self) -> &DeviceGroup {
-        &self.group
-    }
-
-    /// Split `n` rows into per-device `(row0, rows)` shards, spreading the
-    /// remainder over the leading devices.
-    fn partition(&self, n: usize) -> Vec<(usize, usize)> {
-        let k = self.group.len();
-        let base = n / k;
-        let extra = n % k;
-        let mut out = Vec::with_capacity(k);
-        let mut row0 = 0;
-        for i in 0..k {
-            let rows = base + usize::from(i < extra);
-            out.push((row0, rows));
-            row0 += rows;
-        }
-        out
-    }
-
-    fn validate_run(&self, cfg: &PsoConfig) -> Result<(), PsoError> {
-        if self.group.is_empty() {
-            return Err(PsoError::InvalidConfig("empty device group".into()));
-        }
-        if cfg.topology != crate::topology::Topology::Global {
-            return Err(PsoError::InvalidConfig(
-                "multi-GPU backends support the global topology only (ring windows \
-                 and island blocks would span device boundaries)"
-                    .into(),
-            ));
-        }
-        if cfg.n_particles < self.group.len() {
-            return Err(PsoError::InvalidConfig(format!(
-                "{} particles cannot be split over {} devices",
-                cfg.n_particles,
-                self.group.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// The per-iteration kernel graph this backend executes for `cfg`: one
-    /// shard per device with an exchange reduction (every iteration for
-    /// tile-matrix, every `sync_every` for particle-split), plus the
-    /// configured rewrite passes.
-    pub fn plan(&self, cfg: &PsoConfig) -> ExecutionPlan {
-        let sync_every = match self.strategy {
-            MultiGpuStrategy::TileMatrix => 1,
-            MultiGpuStrategy::ParticleSplit { sync_every } => sync_every,
-        };
-        let mut plan =
-            ExecutionPlan::build(cfg, self.group.len(), BestReduce::Exchange { sync_every });
-        if self.fuse {
-            plan.fuse_swarm_update(self.update);
-        }
-        if self.streams {
-            plan.assign_streams();
-        }
-        plan
+        &self.gpu.group
     }
 }
 
@@ -181,30 +97,13 @@ impl PsoBackend for MultiGpuBackend {
     }
 
     fn run(&self, cfg: &PsoConfig, obj: &dyn Objective) -> Result<RunResult, PsoError> {
-        self.validate_run(cfg)?;
-        if let Some(mode) = self.alloc_mode {
-            for dev in self.group.iter() {
-                dev.set_alloc_mode(mode);
-            }
-        }
-        let plan = self.plan(cfg);
-        PlanRun {
-            plan: &plan,
-            cfg,
-            obj,
-            strategy: self.update,
-            resilience: self.resilience.as_ref(),
-            partitions: &self.partition(cfg.n_particles),
-            target: &self.group,
-        }
-        .execute()
+        self.gpu.run(cfg, obj)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::GpuBackend;
     use fastpso_functions::builtins::{Rastrigin, Sphere};
 
     fn cfg(n: usize, d: usize, iters: usize) -> PsoConfig {
@@ -273,15 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn uneven_partition_covers_all_rows() {
-        let b = MultiGpuBackend::new(3, MultiGpuStrategy::TileMatrix);
-        let parts = b.partition(10);
-        assert_eq!(parts, vec![(0, 4), (4, 3), (7, 3)]);
-        let total: usize = parts.iter().map(|(_, r)| r).sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
     fn fused_multi_matches_split_multi_bitwise() {
         let c = cfg(48, 6, 40);
         let plain = MultiGpuBackend::new(3, MultiGpuStrategy::TileMatrix)
@@ -293,20 +183,5 @@ mod tests {
             .unwrap();
         assert_eq!(plain.best_value, fused.best_value);
         assert_eq!(plain.best_position, fused.best_position);
-    }
-
-    #[test]
-    fn streamed_multi_hides_time_without_changing_results() {
-        let c = cfg(512, 32, 20);
-        let off = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
-            .run(&c, &Sphere)
-            .unwrap();
-        let on = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
-            .streams(true)
-            .run(&c, &Sphere)
-            .unwrap();
-        assert_eq!(off.best_value, on.best_value);
-        assert_eq!(off.best_position, on.best_position);
-        assert!(on.elapsed_seconds() < off.elapsed_seconds());
     }
 }

@@ -267,6 +267,40 @@ pub enum BestReduce {
     },
 }
 
+/// Split `n` rows into `k` `(row0, rows)` shards, spreading the remainder
+/// over the leading shards.
+pub(crate) fn partition(n: usize, k: usize) -> Vec<(usize, usize)> {
+    let base = n / k;
+    let extra = n % k;
+    let mut out = Vec::with_capacity(k);
+    let mut row0 = 0;
+    for i in 0..k {
+        let rows = base + usize::from(i < extra);
+        out.push((row0, rows));
+        row0 += rows;
+    }
+    out
+}
+
+/// Whether `cfg` can run as `k` exchange-reduced shards: the topology must
+/// be global (ring windows and island blocks would span shard boundaries)
+/// and every shard needs at least one particle.
+pub(crate) fn check_shardable(cfg: &PsoConfig, k: usize) -> Result<(), String> {
+    if cfg.topology != Topology::Global {
+        Err(format!(
+            "sharded runs support the global topology only, not {}",
+            cfg.topology
+        ))
+    } else if cfg.n_particles < k {
+        Err(format!(
+            "{} particles cannot be split over {k} devices",
+            cfg.n_particles
+        ))
+    } else {
+        Ok(())
+    }
+}
+
 /// The per-iteration kernel graph, built once per run from the config.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
@@ -542,8 +576,9 @@ impl ExecutionPlan {
     }
 }
 
-/// A bound plan execution: the plan plus everything one run needs. Both GPU
-/// backends build one of these in `run` and call [`PlanRun::execute`].
+/// A bound plan execution: the plan plus everything one run needs.
+/// [`crate::GpuBackend`]'s `run` builds one and calls [`PlanRun::execute`];
+/// the serve scheduler drives one a slice at a time.
 ///
 /// Every run targets a [`DeviceGroup`]; a single-GPU run is a group of one.
 /// Shard `s` executes on `target.device(homes[s])`, and the plan's
@@ -1730,6 +1765,34 @@ mod tests {
         for (x, y) in a.nodes.iter().zip(&b.nodes) {
             assert_eq!(x.deps, y.deps);
             assert_eq!(x.phase, y.phase);
+        }
+    }
+
+    #[test]
+    fn uneven_partition_covers_all_rows() {
+        let parts = partition(10, 3);
+        assert_eq!(parts, vec![(0, 4), (4, 3), (7, 3)]);
+        let total: usize = parts.iter().map(|(_, r)| r).sum();
+        assert_eq!(total, 10);
+        assert_eq!(partition(10, 1), vec![(0, 10)]);
+    }
+
+    #[test]
+    fn check_shardable_needs_global_topology_and_a_particle_per_shard() {
+        assert!(check_shardable(&cfg(), 1).is_ok());
+        assert!(check_shardable(&cfg(), 32).is_ok());
+        let err = check_shardable(&cfg(), 33).unwrap_err();
+        assert!(
+            err.contains("32 particles cannot be split over 33"),
+            "{err}"
+        );
+        let ring = PsoConfig::builder(32, 8)
+            .topology(Topology::Ring { k: 1 })
+            .build()
+            .unwrap();
+        for k in [1, 2] {
+            let err = check_shardable(&ring, k).unwrap_err();
+            assert!(err.contains("global topology only"), "{err}");
         }
     }
 

@@ -64,7 +64,7 @@ impl FromStr for BatchPolicy {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let bad = || format!("expected \"jobs=N,elems=M\", got {s:?}");
-        let (jobs, elems) = s.split_once(',').ok_or_else(bad)?;
+        let (jobs, elems) = s.trim().split_once(',').ok_or_else(bad)?;
         let jobs = jobs.strip_prefix("jobs=").ok_or_else(bad)?;
         let elems = elems.strip_prefix("elems=").ok_or_else(bad)?;
         let policy = BatchPolicy {

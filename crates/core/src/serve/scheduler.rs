@@ -9,7 +9,9 @@ use crate::algo::cheaper_strategy_for;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::UpdateStrategy;
-use crate::plan::{BestReduce, ExecState, ExecutionPlan, PlanRun, SuspendedJob};
+use crate::plan::{
+    check_shardable, partition, BestReduce, ExecState, ExecutionPlan, PlanRun, SuspendedJob,
+};
 use crate::result::RunResult;
 use crate::topology::Topology;
 use gpu_sim::lease::{Lease, LeasePool};
@@ -567,20 +569,7 @@ impl Service {
             return Err(ServeError::InvalidRequest("empty tenant name".into()));
         }
         if self.will_shard(&req.cfg) {
-            if req.cfg.topology != Topology::Global {
-                return Err(ServeError::InvalidRequest(
-                    "sharded jobs support the global topology only (ring windows \
-                     and island blocks would span device boundaries)"
-                        .into(),
-                ));
-            }
-            if req.cfg.n_particles < self.pool.n_devices() {
-                return Err(ServeError::InvalidRequest(format!(
-                    "{} particles cannot be split over {} devices",
-                    req.cfg.n_particles,
-                    self.pool.n_devices()
-                )));
-            }
+            check_shardable(&req.cfg, self.pool.n_devices()).map_err(ServeError::InvalidRequest)?;
         }
         Ok(())
     }
@@ -1339,21 +1328,6 @@ fn build_plan(req: &OptimizeRequest, n_shards: usize) -> ExecutionPlan {
     // window is shared state, and packed co-resident jobs would corrupt
     // each other's overlap accounting.
     plan
-}
-
-/// Split `n` rows into `k` `(row0, rows)` shards, spreading the remainder
-/// over the leading shards — the same split `MultiGpuBackend` uses.
-fn partition(n: usize, k: usize) -> Vec<(usize, usize)> {
-    let base = n / k;
-    let extra = n % k;
-    let mut out = Vec::with_capacity(k);
-    let mut row0 = 0;
-    for i in 0..k {
-        let rows = base + usize::from(i < extra);
-        out.push((row0, rows));
-        row0 += rows;
-    }
-    out
 }
 
 /// The executor for `req`'s `plan` over `partitions` on the lease's

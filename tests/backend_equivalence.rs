@@ -108,3 +108,13 @@ fn particle_split_multi_gpu_converges_but_may_diverge_from_single() {
         .unwrap();
     assert!(split.best_value < 5.0, "split best = {}", split.best_value);
 }
+
+/// The multi-GPU backend names the `pso` CLI and the experiment tables
+/// print stay distinct although `MultiGpuBackend` runs through `GpuBackend`.
+#[test]
+fn multi_gpu_backend_names_are_stable() {
+    let tile = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix);
+    assert_eq!(tile.name(), "fastpso-multi-tile");
+    let split = MultiGpuBackend::new(2, MultiGpuStrategy::ParticleSplit { sync_every: 4 });
+    assert_eq!(split.name(), "fastpso-multi-split");
+}

@@ -145,6 +145,9 @@ fn island_runs_are_deterministic_in_seed() {
     assert_eq!(a.migrations, b.migrations);
 }
 
+/// The shard check follows the plan's exchange reduction, not the device
+/// count: a one-device `MultiGpuBackend` rejects a ring too, while the
+/// single-GPU backend runs it.
 #[test]
 fn multi_gpu_rejects_ring_topology() {
     let cfg = PsoConfig::builder(32, 4)
@@ -152,10 +155,16 @@ fn multi_gpu_rejects_ring_topology() {
         .topology(Topology::Ring { k: 1 })
         .build()
         .unwrap();
-    let err = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
-        .run(&cfg, &Sphere)
-        .unwrap_err();
-    assert!(matches!(err, PsoError::InvalidConfig(_)));
+    for devices in [1, 2] {
+        let err = MultiGpuBackend::new(devices, MultiGpuStrategy::TileMatrix)
+            .run(&cfg, &Sphere)
+            .unwrap_err();
+        assert!(
+            matches!(err, PsoError::InvalidConfig(_)),
+            "devices={devices}"
+        );
+    }
+    assert!(GpuBackend::new().run(&cfg, &Sphere).is_ok());
 }
 
 #[test]

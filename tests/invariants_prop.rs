@@ -406,3 +406,143 @@ proptest! {
         prop_assert!(s.parse::<UpdateStrategy>().is_err());
     }
 }
+
+/// Separators, digits, keywords and whitespace of the six `FromStr`
+/// grammars, glued together or spliced into valid strings by
+/// [`every_grammar_survives_any_input`].
+#[rustfmt::skip]
+const GRAMMAR_TOKENS: &[&str] = &[
+    "", ":", ",", "=", "_", "-", " ", "\t", "\n", "x", "0", "1", "-1", "+7", "64",
+    "18446744073709551616", "global", "smem", "tensor-core", "wmma", "pso", "sso", "gfwa",
+    "ring", "star", "random", "ring_lbest", "islands", "migrate", "elite_select", "eval",
+    "fused_swarm_update", "jobs", "elems", "jobs=", ",elems=",
+];
+
+/// Parse `s` with every grammar; `Err` is fine, a panic is not.
+fn parse_every_grammar(s: &str) {
+    use fastpso_suite::fastpso::serve::BatchPolicy;
+    use fastpso_suite::fastpso::{Algorithm, MigrationKind, PlanOp, Topology};
+    let _ = s.parse::<UpdateStrategy>();
+    let _ = s.parse::<Algorithm>();
+    let _ = s.parse::<PlanOp>();
+    let _ = s.parse::<Topology>();
+    let _ = s.parse::<MigrationKind>();
+    let _ = s.parse::<BatchPolicy>();
+}
+
+/// `value` prints to a string that parses back to `value`, bare and with
+/// surrounding whitespace. Returns the printed string.
+fn round_trips<T>(value: T, pad: &str) -> Result<String, String>
+where
+    T: std::fmt::Display + std::str::FromStr + PartialEq + std::fmt::Debug,
+    T::Err: std::fmt::Display,
+{
+    let printed = value.to_string();
+    for s in [printed.clone(), format!("{pad}{printed}{pad}")] {
+        match s.parse::<T>() {
+            Ok(back) if back == value => {}
+            Ok(back) => return Err(format!("{s:?} parsed as {back:?}, not {value:?}")),
+            Err(e) => return Err(format!("{s:?} did not parse back to {value:?}: {e}")),
+        }
+    }
+    Ok(printed)
+}
+
+/// `printed` with its `field`-th (mod the count) `:`/`,`/`=`-separated
+/// field replaced by `token`, so parsers see bad input past a valid prefix.
+fn splice_field(printed: &str, field: usize, token: &str) -> String {
+    let is_sep = |c: char| ":,=".contains(c);
+    let fields: Vec<&str> = printed.split_inclusive(is_sep).collect();
+    let target = field % fields.len();
+    let mut out = String::new();
+    for (i, f) in fields.into_iter().enumerate() {
+        if i == target {
+            let body = f.strip_suffix(is_sep).unwrap_or(f);
+            out.push_str(token);
+            out.push_str(&f[body.len()..]);
+        } else {
+            out.push_str(f);
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The six `FromStr` grammars (`UpdateStrategy`, `Algorithm`, `PlanOp`,
+    /// `Topology`, `MigrationKind`, `BatchPolicy`) never panic: not on
+    /// lossy-decoded arbitrary bytes, not on strings glued from their own
+    /// tokens, and not on valid strings with one field swapped for a token.
+    /// `Display` → `FromStr` round-trips every `ALL` value and sampled
+    /// parameterised values, with or without surrounding whitespace. The
+    /// vendored proptest does not shrink, so failures name the input.
+    #[test]
+    fn every_grammar_survives_any_input(
+        bytes in prop::collection::vec(0u16..256, 0..24),
+        tokens in prop::collection::vec(0usize..GRAMMAR_TOKENS.len(), 0..10),
+        field in 0usize..8,
+        splice in 0usize..GRAMMAR_TOKENS.len(),
+        k in any::<u64>(),
+        islands in 1usize..64,
+        every_k in 1usize..100,
+        elites in 0usize..8,
+        kind_idx in 0usize..3,
+        jobs in 1usize..10_000,
+        elems in 1usize..10_000_000,
+        pad_idx in 0usize..3,
+    ) {
+        use fastpso_suite::fastpso::serve::BatchPolicy;
+        use fastpso_suite::fastpso::{Algorithm, Migration, MigrationKind, PlanOp, Topology};
+        let raw: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+        let glued: String = tokens.iter().map(|&t| GRAMMAR_TOKENS[t]).collect();
+        for s in [String::from_utf8_lossy(&raw).into_owned(), glued] {
+            let panicked = std::panic::catch_unwind(|| parse_every_grammar(&s)).is_err();
+            prop_assert!(!panicked, "a grammar panicked parsing {:?}", s);
+        }
+
+        let pad = [" ", "\t", " \n "][pad_idx];
+        let kind = [MigrationKind::Ring, MigrationKind::Star, MigrationKind::Random][kind_idx];
+        let k = k as usize;
+        let mut checks = Vec::new();
+        checks.extend(UpdateStrategy::ALL.map(|v| round_trips(v, pad)));
+        checks.extend(Algorithm::ALL.map(|v| round_trips(v, pad)));
+        checks.push(round_trips(kind, pad));
+        let migration = Migration { kind, every_k, elites };
+        for topo in [
+            Topology::Global,
+            Topology::Ring { k },
+            Topology::Islands { islands, migration },
+        ] {
+            checks.push(round_trips(topo, pad));
+        }
+        for op in [
+            PlanOp::Eval,
+            PlanOp::PBest,
+            PlanOp::Argmin,
+            PlanOp::ReduceAdopt,
+            PlanOp::GenWeights,
+            PlanOp::Velocity,
+            PlanOp::Position,
+            PlanOp::FusedSwarmUpdate,
+            PlanOp::DeviceSync,
+            PlanOp::PersistentKernel,
+            PlanOp::SsoUpdate,
+            PlanOp::Explosion,
+            PlanOp::GuidingSpark,
+            PlanOp::Selection,
+            PlanOp::RingLbest { k },
+            PlanOp::Migrate { kind, elites },
+            PlanOp::EliteSelect { islands },
+        ] {
+            checks.push(round_trips(op, pad));
+        }
+        checks.push(round_trips(BatchPolicy { max_jobs: jobs, max_elems: elems }, pad));
+        for check in checks {
+            prop_assert!(check.is_ok(), "{}", check.unwrap_err());
+            let spliced = splice_field(&check.unwrap(), field, GRAMMAR_TOKENS[splice]);
+            let panicked = std::panic::catch_unwind(|| parse_every_grammar(&spliced)).is_err();
+            prop_assert!(!panicked, "a grammar panicked parsing {:?}", spliced);
+        }
+    }
+}
