@@ -32,6 +32,7 @@
 //! a new implementation must satisfy.
 
 use crate::gpu::UpdateStrategy;
+use crate::grammar;
 use crate::plan::{PlanNode, PlanOp};
 use gpu_sim::Phase;
 use std::fmt;
@@ -61,21 +62,24 @@ impl Algorithm {
     pub const ALL: [Algorithm; 3] = [Algorithm::Pso, Algorithm::Sso, Algorithm::Gfwa];
 }
 
+/// Every algorithm with its one spelling.
+const ALGORITHM_KEYS: &grammar::Table<Algorithm> = &[
+    (Algorithm::Pso, &["pso"]),
+    (Algorithm::Sso, &["sso"]),
+    (Algorithm::Gfwa, &["gfwa"]),
+];
+
 /// Canonical lowercase keys, `FromStr`-round-trippable.
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Algorithm::Pso => "pso",
-            Algorithm::Sso => "sso",
-            Algorithm::Gfwa => "gfwa",
-        })
+        f.write_str(grammar::key(ALGORITHM_KEYS, *self))
     }
 }
 
-/// Parses the canonical keys case-insensitively; anything else — including
-/// plausible-looking future algorithm names — is rejected, so a typo in a
-/// CLI flag or a serve request surfaces immediately instead of silently
-/// running PSO.
+/// Parses the canonical keys case-insensitively, ignoring surrounding
+/// whitespace; anything else — including plausible-looking future
+/// algorithm names — is rejected, so a typo in a CLI flag or a serve
+/// request surfaces immediately instead of silently running PSO.
 ///
 /// ```
 /// use fastpso::Algorithm;
@@ -87,14 +91,7 @@ impl FromStr for Algorithm {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "pso" => Ok(Algorithm::Pso),
-            "sso" => Ok(Algorithm::Sso),
-            "gfwa" => Ok(Algorithm::Gfwa),
-            other => Err(format!(
-                "unknown algorithm '{other}' (expected one of: pso, sso, gfwa)"
-            )),
-        }
+        grammar::parse(ALGORITHM_KEYS, "algorithm", s)
     }
 }
 

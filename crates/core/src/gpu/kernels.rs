@@ -9,6 +9,7 @@
 use crate::config::{AttractorSemantics, PsoConfig};
 use crate::cost::RNG_FLOPS_PER_DRAW;
 use crate::error::PsoError;
+use crate::grammar;
 use crate::math::{position_update_elem, velocity_update_elem};
 use crate::swarm::domains;
 use crate::topology::{self, ring_neighborhood_best, Migration};
@@ -71,34 +72,29 @@ impl UpdateStrategy {
     ];
 }
 
-/// Canonical short names, matching the `fastpso-<suffix>` backend naming
-/// (the default strategy prints as `global`).
+/// Every strategy with its accepted spellings, canonical name first. The
+/// canonical names match the `fastpso-<suffix>` backend naming (the default
+/// strategy prints as `global`).
+#[rustfmt::skip]
+const STRATEGY_KEYS: &grammar::Table<UpdateStrategy> = &[
+    (UpdateStrategy::GlobalMem, &["global", "globalmem", "global-mem"]),
+    (UpdateStrategy::SharedMem, &["smem", "shared", "sharedmem", "shared-mem"]),
+    (UpdateStrategy::TensorCore, &["tensor", "tensorcore", "tensor-core", "wmma"]),
+    (UpdateStrategy::ForLoop, &["forloop", "for-loop", "naive"]),
+    (UpdateStrategy::LowComplexity, &["lowcomp", "lowcomplexity", "low-complexity"]),
+];
+
+/// Prints the canonical short name.
 impl fmt::Display for UpdateStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            UpdateStrategy::GlobalMem => "global",
-            UpdateStrategy::SharedMem => "smem",
-            UpdateStrategy::TensorCore => "tensor",
-            UpdateStrategy::ForLoop => "forloop",
-            UpdateStrategy::LowComplexity => "lowcomp",
-        })
+        f.write_str(grammar::key(STRATEGY_KEYS, *self))
     }
 }
 
-/// Parses the canonical short names plus common aliases, case-insensitively
-/// and ignoring surrounding whitespace.
-///
-/// Accepted spellings per variant (canonical name first — the one
-/// [`Display`](fmt::Display) prints, so `Display` → `FromStr` always
-/// round-trips):
-///
-/// | Variant | Accepted (case-insensitive) |
-/// |---|---|
-/// | [`UpdateStrategy::GlobalMem`] | `global`, `globalmem`, `global-mem` |
-/// | [`UpdateStrategy::SharedMem`] | `smem`, `shared`, `sharedmem`, `shared-mem` |
-/// | [`UpdateStrategy::TensorCore`] | `tensor`, `tensorcore`, `tensor-core`, `wmma` |
-/// | [`UpdateStrategy::ForLoop`] | `forloop`, `for-loop`, `naive` |
-/// | [`UpdateStrategy::LowComplexity`] | `lowcomp`, `lowcomplexity`, `low-complexity` |
+/// Parses the canonical short names plus common aliases (long, hyphenated
+/// and vendor forms), case-insensitively and ignoring surrounding
+/// whitespace. Every accepted spelling is listed once, in this module's
+/// `STRATEGY_KEYS` table.
 ///
 /// ```
 /// use fastpso::UpdateStrategy;
@@ -113,17 +109,7 @@ impl FromStr for UpdateStrategy {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "global" | "globalmem" | "global-mem" => Ok(UpdateStrategy::GlobalMem),
-            "smem" | "shared" | "sharedmem" | "shared-mem" => Ok(UpdateStrategy::SharedMem),
-            "tensor" | "tensorcore" | "tensor-core" | "wmma" => Ok(UpdateStrategy::TensorCore),
-            "forloop" | "for-loop" | "naive" => Ok(UpdateStrategy::ForLoop),
-            "lowcomp" | "lowcomplexity" | "low-complexity" => Ok(UpdateStrategy::LowComplexity),
-            other => Err(format!(
-                "unknown update strategy '{other}' (expected one of: global, smem, tensor, \
-                 forloop, lowcomp)"
-            )),
-        }
+        grammar::parse(STRATEGY_KEYS, "update strategy", s)
     }
 }
 

@@ -7,8 +7,8 @@
 //! (iv) swarm update — over three interchangeable backends:
 //!
 //! * [`SeqBackend`] — the paper's `fastpso-seq` (single-threaded CPU);
-//! * [`ParBackend`] — the paper's `fastpso-omp` (parallel-for CPU, rayon
-//!   standing in for OpenMP);
+//! * [`ParBackend`] — the paper's `fastpso-omp` (the same CPU loop, priced
+//!   on the modeled clock at the testbed's core count, as the OpenMP port);
 //! * [`GpuBackend`] — the paper's contribution: the swarm update modeled as
 //!   element-wise operations on `n × d` matrices, one GPU thread per matrix
 //!   element (grid-strided under resource-aware launch), with selectable
@@ -46,6 +46,7 @@ pub mod cost;
 mod cpu;
 pub mod error;
 pub mod gpu;
+mod grammar;
 pub mod math;
 pub mod par;
 pub mod plan;

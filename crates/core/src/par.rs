@@ -1,13 +1,14 @@
-//! `fastpso-omp` — the paper's OpenMP port, with rayon as the parallel-for
-//! runtime (see DESIGN.md §2 for the substitution note).
+//! `fastpso-omp` — the paper's OpenMP port: the shared CPU loop, priced on
+//! the modeled clock at the testbed's core count (see DESIGN.md §2).
 
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
+use crate::cost::CpuCharger;
 use crate::error::PsoError;
 use crate::result::RunResult;
 use fastpso_functions::Objective;
 
-/// Multi-threaded CPU backend (parallel over particles/rows).
+/// All-cores CPU backend: the sequential loop, charged as the OpenMP port.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParBackend;
 
@@ -17,7 +18,7 @@ impl PsoBackend for ParBackend {
     }
 
     fn run(&self, cfg: &PsoConfig, obj: &dyn Objective) -> Result<RunResult, PsoError> {
-        crate::cpu::run_cpu(cfg, obj, true)
+        crate::cpu::run_cpu(cfg, obj, CpuCharger::parallel())
     }
 }
 
@@ -43,9 +44,8 @@ mod tests {
 
     #[test]
     fn trajectory_is_bit_identical_to_sequential() {
-        // The strongest correctness check in the workspace: the rayon
-        // backend must produce exactly the sequential result, because every
-        // random draw is counter-addressed and every update is element-local.
+        // Both backends run the one CPU loop and differ only in how the
+        // modeled clock prices it, so their results must be identical.
         for obj in [&Sphere as &dyn fastpso_functions::Objective, &Griewank] {
             let c = cfg(40, 6, 60);
             let a = SeqBackend.run(&c, obj).unwrap();

@@ -5,18 +5,19 @@
 //! per-particle bests, reduce the swarm best, regenerate weights, apply the
 //! swarm update (paper §3.1's four steps) — but the seed grew four separate
 //! loop bodies encoding it: plain and resilient, single- and multi-GPU.
-//! This module factors the dataflow out as data. [`ExecutionPlan::build`]
-//! turns a [`PsoConfig`] plus a shard count into a list of [`PlanNode`]s
-//! (kernel invocations with phase, shard and dependency edges), optimisation
-//! passes rewrite the graph ([`ExecutionPlan::fuse_swarm_update`],
-//! [`ExecutionPlan::assign_streams`]), and the crate-private `PlanRun`
-//! executor walks the node list once per iteration with resilience (retry,
-//! checkpoint/replay, strategy degradation, shard re-homing) attached as
-//! hooks around node dispatch rather than baked into the loop. Execution is
-//! *resumable*: the executor's per-iteration state lives in an owned
-//! `ExecState` that can be stepped a slice at a time, suspended to host
-//! memory and resumed later — the mechanism [`crate::serve`] uses to
-//! time-slice and preempt jobs without perturbing their trajectories.
+//! This module factors the dataflow out as data. [`ExecutionPlan::build_for`]
+//! turns an [`Algorithm`], a [`PsoConfig`] and a shard count into a list of
+//! [`PlanNode`]s (kernel invocations with phase, shard and dependency
+//! edges), optimisation passes rewrite the graph
+//! ([`ExecutionPlan::fuse_swarm_update`], [`ExecutionPlan::assign_streams`]),
+//! and the crate-private `PlanRun` executor walks the node list once per
+//! iteration with resilience (retry, checkpoint/replay, strategy
+//! degradation, shard re-homing) attached as hooks around node dispatch
+//! rather than baked into the loop. Execution is *resumable*: the
+//! executor's per-iteration state lives in an owned `ExecState` that can be
+//! stepped a slice at a time, suspended to host memory and resumed later —
+//! the mechanism [`crate::serve`] uses to time-slice and preempt jobs
+//! without perturbing their trajectories.
 //!
 //! Two invariants keep the refactor honest, and the `plan` integration test
 //! plus `tests/perf_invariants.rs` pin both:
@@ -43,10 +44,10 @@
 //! collapses the velocity/position launch pair into one node:
 //!
 //! ```
-//! use fastpso::{BestReduce, ExecutionPlan, PlanOp, PsoConfig, UpdateStrategy};
+//! use fastpso::{Algorithm, BestReduce, ExecutionPlan, PlanOp, PsoConfig, UpdateStrategy};
 //!
 //! let cfg = PsoConfig::builder(64, 8).max_iter(100).build().unwrap();
-//! let mut plan = ExecutionPlan::build(&cfg, 1, BestReduce::Local);
+//! let mut plan = ExecutionPlan::build_for(Algorithm::Pso, &cfg, 1, BestReduce::Local);
 //! let launches_before = plan.nodes.len();
 //! assert!(plan.nodes.iter().any(|n| n.op == PlanOp::Velocity));
 //!
@@ -64,6 +65,7 @@ use crate::gpu::kernels::{
     island_attractors, local_argmin, migrate_elites, pbest_update, position_update, ring_lbest,
     sso_update, velocity_update, Explosion, GuidingSpark, Shard, UpdateStrategy,
 };
+use crate::grammar;
 use crate::resilience::{
     quarantine_nonfinite, retry_degradable, retry_op, ResilienceConfig, RetryPolicy,
     ShardCheckpoint,
@@ -153,28 +155,33 @@ pub enum PlanOp {
     },
 }
 
+/// Every op without parameters, with its one spelling.
+const BARE_OP_KEYS: &grammar::Table<PlanOp> = &[
+    (PlanOp::Eval, &["eval"]),
+    (PlanOp::PBest, &["pbest"]),
+    (PlanOp::Argmin, &["argmin"]),
+    (PlanOp::ReduceAdopt, &["reduce_adopt"]),
+    (PlanOp::GenWeights, &["gen_weights"]),
+    (PlanOp::Velocity, &["velocity"]),
+    (PlanOp::Position, &["position"]),
+    (PlanOp::FusedSwarmUpdate, &["fused_swarm_update"]),
+    (PlanOp::DeviceSync, &["device_sync"]),
+    (PlanOp::PersistentKernel, &["persistent_kernel"]),
+    (PlanOp::SsoUpdate, &["sso_update"]),
+    (PlanOp::Explosion, &["explosion"]),
+    (PlanOp::GuidingSpark, &["guiding_spark"]),
+    (PlanOp::Selection, &["selection"]),
+];
+
 impl std::fmt::Display for PlanOp {
     /// Canonical identifier of the op, `FromStr`-round-trippable
     /// (`ring_lbest` carries its half-width as `ring_lbest:k`).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PlanOp::Eval => write!(f, "eval"),
-            PlanOp::PBest => write!(f, "pbest"),
-            PlanOp::Argmin => write!(f, "argmin"),
-            PlanOp::ReduceAdopt => write!(f, "reduce_adopt"),
             PlanOp::RingLbest { k } => write!(f, "ring_lbest:{k}"),
-            PlanOp::GenWeights => write!(f, "gen_weights"),
-            PlanOp::Velocity => write!(f, "velocity"),
-            PlanOp::Position => write!(f, "position"),
-            PlanOp::FusedSwarmUpdate => write!(f, "fused_swarm_update"),
-            PlanOp::DeviceSync => write!(f, "device_sync"),
-            PlanOp::PersistentKernel => write!(f, "persistent_kernel"),
-            PlanOp::SsoUpdate => write!(f, "sso_update"),
-            PlanOp::Explosion => write!(f, "explosion"),
-            PlanOp::GuidingSpark => write!(f, "guiding_spark"),
-            PlanOp::Selection => write!(f, "selection"),
             PlanOp::Migrate { kind, elites } => write!(f, "migrate:{kind}:{elites}"),
             PlanOp::EliteSelect { islands } => write!(f, "elite_select:{islands}"),
+            op => f.write_str(grammar::key(BARE_OP_KEYS, *op)),
         }
     }
 }
@@ -182,51 +189,34 @@ impl std::fmt::Display for PlanOp {
 impl std::str::FromStr for PlanOp {
     type Err = String;
 
-    /// Parse a canonical op identifier (case-insensitive). The
+    /// Parse a canonical op identifier (case-insensitive, trimmed). The
     /// parameterised ops require their suffixes — `ring_lbest:<k>`,
     /// `migrate:<kind>:<elites>`, `elite_select:<islands>` — and every
     /// other op is a bare word.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.trim().to_ascii_lowercase();
-        if let Some(k) = lower.strip_prefix("ring_lbest:") {
-            let k: usize = k
-                .parse()
-                .map_err(|_| format!("bad ring_lbest half-width in {s:?}"))?;
-            return Ok(PlanOp::RingLbest { k });
+        let norm = grammar::norm(s);
+        let expected = "expected a bare op, ring_lbest:<k>, migrate:<kind>:<elites> \
+                        or elite_select:<islands>";
+        if let Some(k) = norm.strip_prefix("ring_lbest:") {
+            return Ok(PlanOp::RingLbest {
+                k: grammar::field("ring_lbest half-width", k, expected)?,
+            });
         }
-        if let Some(rest) = lower.strip_prefix("migrate:") {
+        if let Some(rest) = norm.strip_prefix("migrate:") {
             let (kind, elites) = rest
                 .split_once(':')
                 .ok_or_else(|| format!("migrate needs <kind>:<elites> in {s:?}"))?;
-            let kind = kind.parse()?;
-            let elites: usize = elites
-                .parse()
-                .map_err(|_| format!("bad migrate elite count in {s:?}"))?;
-            return Ok(PlanOp::Migrate { kind, elites });
+            return Ok(PlanOp::Migrate {
+                kind: kind.parse()?,
+                elites: grammar::field("migrate elite count", elites, expected)?,
+            });
         }
-        if let Some(m) = lower.strip_prefix("elite_select:") {
-            let islands: usize = m
-                .parse()
-                .map_err(|_| format!("bad elite_select island count in {s:?}"))?;
-            return Ok(PlanOp::EliteSelect { islands });
+        if let Some(m) = norm.strip_prefix("elite_select:") {
+            return Ok(PlanOp::EliteSelect {
+                islands: grammar::field("elite_select island count", m, expected)?,
+            });
         }
-        match lower.as_str() {
-            "eval" => Ok(PlanOp::Eval),
-            "pbest" => Ok(PlanOp::PBest),
-            "argmin" => Ok(PlanOp::Argmin),
-            "reduce_adopt" => Ok(PlanOp::ReduceAdopt),
-            "gen_weights" => Ok(PlanOp::GenWeights),
-            "velocity" => Ok(PlanOp::Velocity),
-            "position" => Ok(PlanOp::Position),
-            "fused_swarm_update" => Ok(PlanOp::FusedSwarmUpdate),
-            "device_sync" => Ok(PlanOp::DeviceSync),
-            "persistent_kernel" => Ok(PlanOp::PersistentKernel),
-            "sso_update" => Ok(PlanOp::SsoUpdate),
-            "explosion" => Ok(PlanOp::Explosion),
-            "guiding_spark" => Ok(PlanOp::GuidingSpark),
-            "selection" => Ok(PlanOp::Selection),
-            _ => Err(format!("unknown plan op {s:?}")),
-        }
+        grammar::parse(BARE_OP_KEYS, "plan op", s)
     }
 }
 
@@ -306,9 +296,7 @@ pub(crate) fn check_shardable(cfg: &PsoConfig, k: usize) -> Result<(), String> {
 pub struct ExecutionPlan {
     /// Nodes in execution order.
     pub nodes: Vec<PlanNode>,
-    /// The swarm algorithm whose update tail the plan carries
-    /// ([`ExecutionPlan::build`] always builds PSO; use
-    /// [`ExecutionPlan::build_for`] for the others).
+    /// The swarm algorithm whose update tail the plan carries.
     pub algorithm: Algorithm,
     /// Number of shards the plan spans.
     pub n_shards: usize,
@@ -345,15 +333,6 @@ fn push(
 }
 
 impl ExecutionPlan {
-    /// Build the PSO iteration graph for `n_shards` shards. Node
-    /// construction order is the legacy loops' execution order: per-shard
-    /// eval→pbest→argmin, one reduce/adopt, the optional ring gather, then
-    /// per-shard gen-weights→velocity→position→sync. Equivalent to
-    /// [`ExecutionPlan::build_for`] with [`Algorithm::Pso`].
-    pub fn build(cfg: &PsoConfig, n_shards: usize, reduce: BestReduce) -> ExecutionPlan {
-        Self::build_for(Algorithm::Pso, cfg, n_shards, reduce)
-    }
-
     /// Build the iteration graph of `algorithm` for `n_shards` shards.
     /// Every algorithm shares the same prefix — per-shard
     /// eval→pbest→argmin, one reduce/adopt, the optional ring gather — and
@@ -1490,7 +1469,7 @@ mod tests {
 
     #[test]
     fn single_shard_plan_matches_legacy_order() {
-        let plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
+        let plan = ExecutionPlan::build_for(Algorithm::Pso, &cfg(), 1, BestReduce::Local);
         assert_eq!(
             ops(&plan),
             vec![
@@ -1513,7 +1492,7 @@ mod tests {
             .topology(Topology::Ring { k: 2 })
             .build()
             .unwrap();
-        let plan = ExecutionPlan::build(&c, 1, BestReduce::Local);
+        let plan = ExecutionPlan::build_for(Algorithm::Pso, &c, 1, BestReduce::Local);
         assert_eq!(plan.nodes[4].op, PlanOp::RingLbest { k: 2 });
         // The velocity update depends on the gather, not the raw reduce.
         let vel = plan
@@ -1526,7 +1505,12 @@ mod tests {
 
     #[test]
     fn multi_shard_plan_interleaves_per_shard_phases() {
-        let plan = ExecutionPlan::build(&cfg(), 2, BestReduce::Exchange { sync_every: 1 });
+        let plan = ExecutionPlan::build_for(
+            Algorithm::Pso,
+            &cfg(),
+            2,
+            BestReduce::Exchange { sync_every: 1 },
+        );
         assert_eq!(
             ops(&plan),
             vec![
@@ -1553,7 +1537,12 @@ mod tests {
 
     #[test]
     fn fusion_rewrites_the_update_pair_and_remaps_edges() {
-        let mut plan = ExecutionPlan::build(&cfg(), 2, BestReduce::Exchange { sync_every: 1 });
+        let mut plan = ExecutionPlan::build_for(
+            Algorithm::Pso,
+            &cfg(),
+            2,
+            BestReduce::Exchange { sync_every: 1 },
+        );
         let before = plan.nodes.len();
         assert!(plan.fuse_swarm_update(UpdateStrategy::GlobalMem));
         assert!(plan.is_fused());
@@ -1572,7 +1561,7 @@ mod tests {
     #[test]
     fn fusion_is_identity_for_tiled_strategies() {
         for strategy in [UpdateStrategy::SharedMem, UpdateStrategy::TensorCore] {
-            let mut plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
+            let mut plan = ExecutionPlan::build_for(Algorithm::Pso, &cfg(), 1, BestReduce::Local);
             let before = ops(&plan);
             assert!(!plan.fuse_swarm_update(strategy));
             assert_eq!(ops(&plan), before);
@@ -1582,7 +1571,7 @@ mod tests {
 
     #[test]
     fn lower_persistent_collapses_single_shard_plans_only() {
-        let mut plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
+        let mut plan = ExecutionPlan::build_for(Algorithm::Pso, &cfg(), 1, BestReduce::Local);
         let body_before = ops(&plan);
         assert!(plan.lower_persistent());
         assert!(plan.persistent);
@@ -1602,19 +1591,24 @@ mod tests {
         assert_eq!(plan.nodes.len(), 1);
 
         // Multi-shard plans refuse: a grid barrier cannot span devices.
-        let mut multi = ExecutionPlan::build(&cfg(), 2, BestReduce::Exchange { sync_every: 1 });
+        let mut multi = ExecutionPlan::build_for(
+            Algorithm::Pso,
+            &cfg(),
+            2,
+            BestReduce::Exchange { sync_every: 1 },
+        );
         assert!(!multi.lower_persistent());
         assert!(!multi.persistent);
 
         // Streamed plans refuse: overlap is a host-side launch model.
-        let mut streamed = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
+        let mut streamed = ExecutionPlan::build_for(Algorithm::Pso, &cfg(), 1, BestReduce::Local);
         streamed.assign_streams();
         assert!(!streamed.lower_persistent());
     }
 
     #[test]
     fn lower_persistent_composes_with_fusion() {
-        let mut plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
+        let mut plan = ExecutionPlan::build_for(Algorithm::Pso, &cfg(), 1, BestReduce::Local);
         assert!(plan.fuse_swarm_update(UpdateStrategy::GlobalMem));
         assert!(plan.lower_persistent());
         assert!(plan.is_fused(), "fusion state is read through the body");
@@ -1752,23 +1746,6 @@ mod tests {
     }
 
     #[test]
-    fn build_is_build_for_pso() {
-        let a = ExecutionPlan::build(&cfg(), 2, BestReduce::Exchange { sync_every: 1 });
-        let b = ExecutionPlan::build_for(
-            Algorithm::Pso,
-            &cfg(),
-            2,
-            BestReduce::Exchange { sync_every: 1 },
-        );
-        assert_eq!(a.algorithm, Algorithm::Pso);
-        assert_eq!(ops(&a), ops(&b));
-        for (x, y) in a.nodes.iter().zip(&b.nodes) {
-            assert_eq!(x.deps, y.deps);
-            assert_eq!(x.phase, y.phase);
-        }
-    }
-
-    #[test]
     fn uneven_partition_covers_all_rows() {
         let parts = partition(10, 3);
         assert_eq!(parts, vec![(0, 4), (4, 3), (7, 3)]);
@@ -1798,7 +1775,7 @@ mod tests {
 
     #[test]
     fn stream_pass_hoists_weights_and_adds_wait_edges() {
-        let mut plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
+        let mut plan = ExecutionPlan::build_for(Algorithm::Pso, &cfg(), 1, BestReduce::Local);
         plan.fuse_swarm_update(UpdateStrategy::GlobalMem);
         plan.assign_streams();
         assert!(plan.streams_enabled);

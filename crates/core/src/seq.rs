@@ -2,6 +2,7 @@
 
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
+use crate::cost::CpuCharger;
 use crate::error::PsoError;
 use crate::result::RunResult;
 use fastpso_functions::Objective;
@@ -16,7 +17,7 @@ impl PsoBackend for SeqBackend {
     }
 
     fn run(&self, cfg: &PsoConfig, obj: &dyn Objective) -> Result<RunResult, PsoError> {
-        crate::cpu::run_cpu(cfg, obj, false)
+        crate::cpu::run_cpu(cfg, obj, CpuCharger::serial())
     }
 }
 

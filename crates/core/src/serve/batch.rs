@@ -26,6 +26,7 @@
 
 use crate::algo::Algorithm;
 use crate::gpu::UpdateStrategy;
+use crate::grammar;
 use crate::topology::Topology;
 use std::fmt;
 use std::str::FromStr;
@@ -63,13 +64,15 @@ impl FromStr for BatchPolicy {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bad = || format!("expected \"jobs=N,elems=M\", got {s:?}");
-        let (jobs, elems) = s.trim().split_once(',').ok_or_else(bad)?;
+        let expected = "expected \"jobs=N,elems=M\"";
+        let bad = || format!("{expected}, got {s:?}");
+        let norm = grammar::norm(s);
+        let (jobs, elems) = norm.split_once(',').ok_or_else(bad)?;
         let jobs = jobs.strip_prefix("jobs=").ok_or_else(bad)?;
         let elems = elems.strip_prefix("elems=").ok_or_else(bad)?;
         let policy = BatchPolicy {
-            max_jobs: jobs.parse().map_err(|_| bad())?,
-            max_elems: elems.parse().map_err(|_| bad())?,
+            max_jobs: grammar::field("job bound", jobs, expected)?,
+            max_elems: grammar::field("element bound", elems, expected)?,
         };
         if policy.max_jobs == 0 || policy.max_elems == 0 {
             return Err(format!("batch bounds must be positive, got {policy}"));

@@ -224,7 +224,8 @@ fn encode_event(out: &mut Vec<u8>, ev: &ServeEvent) {
             out.push(0);
             out.extend_from_slice(&job.to_le_bytes());
             let t = tenant.as_bytes();
-            out.extend_from_slice(&(t.len() as u16).to_le_bytes());
+            let len = u16::try_from(t.len()).expect("submit rejects tenants over u16::MAX bytes");
+            out.extend_from_slice(&len.to_le_bytes());
             out.extend_from_slice(t);
             out.push(match priority {
                 Priority::Low => 0,

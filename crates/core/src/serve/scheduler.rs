@@ -568,6 +568,14 @@ impl Service {
         if req.tenant.is_empty() {
             return Err(ServeError::InvalidRequest("empty tenant name".into()));
         }
+        // The journal stores the tenant behind a u16 length prefix.
+        if req.tenant.len() > u16::MAX as usize {
+            return Err(ServeError::InvalidRequest(format!(
+                "tenant name is {} bytes, longer than the journal's limit of {}",
+                req.tenant.len(),
+                u16::MAX
+            )));
+        }
         if self.will_shard(&req.cfg) {
             check_shardable(&req.cfg, self.pool.n_devices()).map_err(ServeError::InvalidRequest)?;
         }

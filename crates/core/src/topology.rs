@@ -22,6 +22,7 @@
 //! tie rule as the global reduction (lowest index wins), so runs remain
 //! bit-identical across backends.
 
+use crate::grammar;
 use crate::swarm::domains;
 use fastpso_prng::Philox;
 use std::fmt;
@@ -44,29 +45,26 @@ pub enum MigrationKind {
     Random,
 }
 
+/// Every migration kind with its one spelling.
+const MIGRATION_KEYS: &grammar::Table<MigrationKind> = &[
+    (MigrationKind::Ring, &["ring"]),
+    (MigrationKind::Star, &["star"]),
+    (MigrationKind::Random, &["random"]),
+];
+
 impl fmt::Display for MigrationKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            MigrationKind::Ring => "ring",
-            MigrationKind::Star => "star",
-            MigrationKind::Random => "random",
-        })
+        f.write_str(grammar::key(MIGRATION_KEYS, *self))
     }
 }
 
 impl FromStr for MigrationKind {
     type Err = String;
 
-    /// Accepts `ring`, `star` or `random` (case-insensitive, trimmed).
+    /// Accepts the keys [`Display`](fmt::Display) prints (case-insensitive,
+    /// trimmed).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ring" => Ok(MigrationKind::Ring),
-            "star" => Ok(MigrationKind::Star),
-            "random" => Ok(MigrationKind::Random),
-            other => Err(format!(
-                "unknown migration kind {other:?} (expected one of: ring, star, random)"
-            )),
-        }
+        grammar::parse(MIGRATION_KEYS, "migration kind", s)
     }
 }
 
@@ -161,40 +159,35 @@ impl FromStr for Topology {
     /// assert!("islands:4:coconut:10:2".parse::<Topology>().is_err());
     /// ```
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let norm = s.trim().to_ascii_lowercase();
-        let grammar =
+        let norm = grammar::norm(s);
+        let expected =
             "expected global, ring_lbest:<k>, or islands:<m>:<ring|star|random>:<every_k>:<elites>";
         if norm == "global" {
             return Ok(Topology::Global);
         }
         if let Some(k) = norm.strip_prefix("ring_lbest:") {
-            let k: usize = k
-                .parse()
-                .map_err(|_| format!("bad ring half-width {k:?} ({grammar})"))?;
-            return Ok(Topology::Ring { k });
+            return Ok(Topology::Ring {
+                k: grammar::field("ring half-width", k, expected)?,
+            });
         }
         if let Some(rest) = norm.strip_prefix("islands:") {
             let parts: Vec<&str> = rest.split(':').collect();
             if parts.len() != 4 {
                 return Err(format!(
-                    "islands topology takes 4 parameters, got {} ({grammar})",
+                    "islands topology takes 4 parameters, got {} ({expected})",
                     parts.len()
                 ));
             }
-            let num = |what: &str, v: &str| -> Result<usize, String> {
-                v.parse()
-                    .map_err(|_| format!("bad island {what} {v:?} ({grammar})"))
-            };
             return Ok(Topology::Islands {
-                islands: num("count", parts[0])?,
+                islands: grammar::field("island count", parts[0], expected)?,
                 migration: Migration {
                     kind: parts[1].parse()?,
-                    every_k: num("period", parts[2])?,
-                    elites: num("elite count", parts[3])?,
+                    every_k: grammar::field("island period", parts[2], expected)?,
+                    elites: grammar::field("island elite count", parts[3], expected)?,
                 },
             });
         }
-        Err(format!("unknown topology {s:?} ({grammar})"))
+        Err(format!("unknown topology {s:?} ({expected})"))
     }
 }
 

@@ -2,7 +2,7 @@
 //! property. All deterministic backends draw randomness from the same
 //! counter-addressed Philox streams and evaluate the same element-wise
 //! formula in the same operation order, so their trajectories must be
-//! **bit-identical** — sequential, rayon-parallel, GPU global-memory, GPU
+//! **bit-identical** — sequential, OpenMP-priced CPU, GPU global-memory, GPU
 //! shared-memory and multi-GPU tile-matrix. The tensor-core strategy is
 //! the one documented exception (f16 operand rounding).
 

@@ -706,6 +706,45 @@ fn journal_snapshot_restore_is_byte_exact() {
     assert_eq!(svc.snapshot(), restored.snapshot());
 }
 
+/// The journal prefixes a tenant name with a u16 length, so the longest
+/// name it can hold (65,535 bytes) snapshots and restores byte-exactly,
+/// and a longer one is rejected at submit: no job id, nothing journaled.
+#[test]
+fn tenant_names_are_bounded_by_the_journal_length_prefix() {
+    let serve_cfg = ServeConfig::default();
+    let req = |tenant: String| {
+        OptimizeRequest::new(
+            tenant,
+            Arc::new(Sphere) as Arc<dyn Objective>,
+            cfg(16, 4, 6, 5),
+        )
+    };
+    let longest = "t".repeat(u16::MAX as usize);
+    let mut svc = Service::new(DeviceGroup::v100s(1), serve_cfg.clone());
+    let id = svc.submit(req(longest.clone())).unwrap();
+    let journaled = svc.journal().len();
+    let err = svc
+        .submit(req("t".repeat(u16::MAX as usize + 1)))
+        .unwrap_err();
+    assert!(matches!(err, ServeError::InvalidRequest(_)), "{err:?}");
+    assert_eq!(
+        svc.journal().len(),
+        journaled,
+        "a rejected tenant must not be journaled"
+    );
+    svc.run_until_idle();
+    assert!(svc.result(id).is_ok());
+
+    let snap = svc.snapshot();
+    let restored =
+        Service::restore(DeviceGroup::v100s(1), serve_cfg, &snap, vec![req(longest)]).unwrap();
+    assert_eq!(restored.snapshot(), snap);
+    assert_eq!(restored.records(), svc.records());
+    // The next accepted job takes the id the rejected one did not consume.
+    let next = svc.submit(req("acme".into())).unwrap();
+    assert_eq!(next.0, id.0 + 1);
+}
+
 /// Regression for the lease-accounting race: a job cancelled while its
 /// device is lost must release its lease exactly once, in both orderings
 /// (cancel after the re-homing sweep ran, and cancel while the job still
@@ -1389,5 +1428,117 @@ proptest! {
             submitted.len(),
             "exactly one record per accepted job — rejects never reach the records"
         );
+    }
+}
+
+/// FNV-1a, the journal's checksum: the fuzz below seals arbitrary record
+/// bytes with it so that they get past the checksum to the record decoder.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// A real journal snapshot: submits from three tenants (one non-ASCII) at
+/// every priority, one with a deadline, ticks, admits, a preemption, a
+/// cancel and completions, so that the fuzz's cuts and flips land in each
+/// record shape a fault-free service writes.
+fn sample_journal() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| {
+        let serve_cfg = ServeConfig {
+            slots_per_device: 1,
+            slice_iters: 3,
+            ..ServeConfig::default()
+        };
+        let mut svc = Service::new(DeviceGroup::v100s(2), serve_cfg);
+        let mut ids = Vec::new();
+        for i in 0..5u64 {
+            let mut req = OptimizeRequest::new(
+                ["acme", "glöbex", "initech"][i as usize % 3],
+                Arc::new(Sphere) as Arc<dyn Objective>,
+                cfg(16, 4, 12, 40 + i),
+            )
+            .priority([Priority::Low, Priority::Normal, Priority::High][i as usize % 3]);
+            if i == 1 {
+                req = req.deadline_s(10.0);
+            }
+            ids.push(svc.submit(req).unwrap());
+            svc.tick();
+        }
+        svc.cancel(ids[3]).unwrap();
+        svc.run_until_idle();
+        let events = svc.journal().events();
+        let kinds: std::collections::HashSet<_> =
+            events.iter().map(std::mem::discriminant).collect();
+        assert_eq!(
+            kinds.len(),
+            6,
+            "submit, tick, admit, preempt, cancel, complete: {events:?}"
+        );
+        assert!(events.iter().any(|e| matches!(
+            e,
+            ServeEvent::Submit {
+                deadline_s: Some(_),
+                ..
+            }
+        )));
+        svc.snapshot()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Journal bytes are untrusted input, so `ServeJournal::from_bytes` and
+    /// `ServeJournal::recover` never panic: not on arbitrary bytes, not on
+    /// arbitrary records sealed with a valid header and checksum, and not on
+    /// a real journal that is truncated or has one byte flipped. A truncated
+    /// journal recovers to a prefix of its events, and any input
+    /// `from_bytes` accepts re-serialises to exactly its own bytes and
+    /// recovers to the same journal. The vendored proptest does not shrink,
+    /// so failures print the input bytes.
+    #[test]
+    fn journal_parser_never_panics_on_untrusted_bytes(
+        noise in prop::collection::vec(0u16..256, 0..64),
+        records in prop::collection::vec(0u8..10, 0..64),
+        cut in any::<u64>(),
+        flip_at in any::<u64>(),
+        flip in 1u16..256,
+    ) {
+        use fastpso::serve::ServeJournal;
+        let valid = sample_journal();
+        let full = ServeJournal::from_bytes(valid).unwrap();
+        let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+        let mut inputs = vec![noise.clone()];
+        for body in [&noise, &records] {
+            let mut sealed = b"FPWJ\x01\x00".to_vec();
+            sealed.extend_from_slice(body);
+            sealed.push(0xFF);
+            let sum = fnv1a(&sealed);
+            sealed.extend_from_slice(&sum.to_le_bytes());
+            inputs.push(sealed);
+        }
+        let cut = (cut % (valid.len() as u64 + 1)) as usize;
+        inputs.push(valid[..cut].to_vec());
+        let mut flipped = valid.to_vec();
+        flipped[(flip_at % valid.len() as u64) as usize] ^= flip as u8;
+        inputs.push(flipped);
+
+        for input in &inputs {
+            let parsed = std::panic::catch_unwind(|| ServeJournal::from_bytes(input));
+            prop_assert!(parsed.is_ok(), "from_bytes panicked on {:02x?}", input);
+            let recovered = std::panic::catch_unwind(|| ServeJournal::recover(input));
+            prop_assert!(recovered.is_ok(), "recover panicked on {:02x?}", input);
+            let (recovered, n) = recovered.unwrap();
+            prop_assert_eq!(n, recovered.len());
+            if let Ok(journal) = parsed.unwrap() {
+                prop_assert_eq!(&journal.to_bytes(), input, "{:02x?} re-serialises differently", input);
+                prop_assert_eq!(&recovered, &journal, "recover disagrees with from_bytes on {:02x?}", input);
+            }
+        }
+        let (prefix, n) = ServeJournal::recover(&valid[..cut]);
+        prop_assert!(n <= full.len(), "cut at {}: recovered {} of {} events", cut, n, full.len());
+        prop_assert_eq!(prefix.events(), &full.events()[..n], "cut at {}", cut);
     }
 }
